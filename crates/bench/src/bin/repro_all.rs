@@ -8,9 +8,9 @@
 //!
 //! With `--reps 100` this is the paper's full 100-replication protocol;
 //! the default of 10 replications reproduces every shape in a few
-//! minutes. Besides the stdout record pasted into `EXPERIMENTS.md`,
-//! every artifact is persisted as `<out>/<stem>.csv` + `.json` via the
-//! scenario report writers, so CI can upload the whole evaluation.
+//! minutes. Besides the stdout tables, every artifact is persisted as
+//! `<out>/<stem>.csv` + `.json` via the scenario report writers, so CI
+//! can upload the whole evaluation.
 
 use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
 use scenario::DEFAULT_OUT_DIR;

@@ -9,19 +9,25 @@
 //! * `engine floor` — the engine + calendar queue dispatching a
 //!   trivial self-rescheduling model: the per-event cost with no model
 //!   work at all;
-//! * `hold pattern` — calendar vs heap vs timer wheel on an M/M/1-like
-//!   hold model across queue populations from 3 pending events to one
-//!   million (collapsed mode, ring mode, overflow-heavy, and the
-//!   million-user think-time deluge), the classic priority-queue
-//!   benchmark. The calendar column also reports how many times the
-//!   ring resized and how many pushes landed in the overflow heap, the
-//!   two adaptivity channels the 1M population stresses.
+//! * `hold pattern` — calendar vs heap on an M/M/1-like hold model
+//!   across queue populations from 3 pending events to one million
+//!   (collapsed mode, ring mode, overflow-heavy, and the million-user
+//!   think-time deluge), the classic priority-queue benchmark. Each
+//!   measurement folds the popped payloads into an order-sensitive
+//!   digest and asserts that the calendar queue and the heap oracle
+//!   agree. The calendar column also reports how many times the ring
+//!   resized and how many pushes landed in the overflow heap, the two
+//!   adaptivity channels the 1M population stresses.
+//!
+//! `--smoke` lowers the event count (default 1000000) but keeps every
+//! population and the calendar-vs-heap assert, so CI catches a
+//! scheduler misorder at the 1M scale.
 //!
 //! ```text
-//! cargo run --release -p voodb-bench --bin schedbench -- [--events 4000000]
+//! cargo run --release -p voodb-bench --bin schedbench -- [--events 4000000] [--smoke]
 //! ```
 
-use desp::sched::{CalendarQueue, EventHeap, Scheduler, TimerWheel};
+use desp::sched::{CalendarQueue, EventHeap, Scheduler};
 use desp::{Context, Engine, Model, NoProbe, QueueKind, RandomStream, SimTime};
 use std::time::Instant;
 use voodb_bench::Args;
@@ -80,6 +86,9 @@ fn engine_floor(events: u64, fanout: usize) {
 
 /// The classic hold benchmark: pop one event, push its successor an
 /// exponential delay ahead; the queue population stays at `fanout`.
+/// Returns the elapsed seconds, an FNV-style digest of the pop
+/// sequence (payloads in pop order, then the final clock) and the
+/// queue.
 fn hold_pattern<S: Scheduler<u64>>(events: usize, fanout: usize, mean_ms: f64) -> (f64, u64, S) {
     let mut q = S::default();
     let mut rng = RandomStream::new(42);
@@ -92,7 +101,7 @@ fn hold_pattern<S: Scheduler<u64>>(events: usize, fanout: usize, mean_ms: f64) -
     for i in 0..events as u64 {
         let (t, e) = q.pop().expect("non-empty");
         now = t.as_ms();
-        sink = sink.wrapping_add(e);
+        sink = (sink ^ e).wrapping_mul(0x0100_0000_01b3);
         q.push(SimTime::from_ms(now + rng.expo(mean_ms)), i);
     }
     (
@@ -107,30 +116,34 @@ fn main() {
     if args.help_requested() {
         return Args::print_help(
             "schedbench",
-            &[("events", "events per measurement (default 4000000)")],
+            &[
+                ("events", "events per measurement (default 4000000)"),
+                (
+                    "smoke",
+                    "bare flag: CI size, events default 1000000, every population kept",
+                ),
+            ],
         );
     }
-    let events = args.get("events", 4_000_000usize);
+    let smoke = args.flag("smoke");
+    let events = args.get("events", if smoke { 1_000_000usize } else { 4_000_000 });
     ln_ab(events as u64);
     engine_floor(events as u64, 3);
     // Pending-population axis: 3 pending events is the paper's NUSERS
     // scale; 1M is the cohortless think-time deluge (one wake per user).
     // Two hold regimes: tight 1.11 ms holds (events land on top of each
     // other — ring/collapse pressure) and far-future 50 s think times
-    // (the regime the wheel's cascading levels are built for).
+    // (the overflow-heavy regime).
     for (regime, mean_ms) in [("hold ", 1.11), ("think", 50_000.0)] {
         for fanout in [3usize, 32, 1024, 100_000, 1_000_000] {
             let (tc, s1, cal) = hold_pattern::<CalendarQueue<u64>>(events, fanout, mean_ms);
             let (th, s2, _) = hold_pattern::<EventHeap<u64>>(events, fanout, mean_ms);
-            let (tw, s3, _) = hold_pattern::<TimerWheel<u64>>(events, fanout, mean_ms);
             assert_eq!(s1, s2, "calendar and heap disagreed on the pop sequence");
-            assert_eq!(s1, s3, "calendar and wheel disagreed on the pop sequence");
             println!(
                 "{regime} fanout {fanout:>7}: calendar {:>6.1} M/s   heap {:>6.1} M/s   \
-                 wheel {:>6.1} M/s   (cal resizes {}, overflow pushes {})",
+                 (cal resizes {}, overflow pushes {})",
                 events as f64 / tc / 1e6,
                 events as f64 / th / 1e6,
-                events as f64 / tw / 1e6,
                 cal.resize_count(),
                 cal.overflow_push_count(),
             );

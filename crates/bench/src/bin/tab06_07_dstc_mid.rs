@@ -24,7 +24,8 @@ use voodb_bench::{
     COMMON_KEYS,
 };
 
-/// The DSTC tuning used for the study (documented in EXPERIMENTS.md).
+/// The DSTC tuning used for the study; `repro_all` runs Tables 6–8 with
+/// the same values.
 pub fn study_dstc_params() -> DstcParams {
     DstcParams {
         observation_period: 10_000,

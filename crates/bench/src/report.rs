@@ -2,11 +2,10 @@
 //!
 //! Every binary prints the same layout the paper uses: an x column, the
 //! Benchmark series, the Simulation series (both ± their 95% half-widths),
-//! and the bench/sim ratio. The output doubles as the machine-readable
-//! record pasted into `EXPERIMENTS.md`. The `*_report_table` converters
-//! turn the same data into [`scenario::ReportTable`]s so `repro_all` can
-//! persist CSV/JSON artifacts under `target/voodb-out/` for CI to
-//! upload.
+//! and the bench/sim ratio. The `*_report_table` converters turn the
+//! same data into [`scenario::ReportTable`]s so `repro_all` can persist
+//! it as machine-readable CSV/JSON artifacts under `target/voodb-out/`
+//! for CI to upload.
 
 use crate::harness::{DstcSide, Point};
 use scenario::{Cell, ReportTable};

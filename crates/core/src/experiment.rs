@@ -16,7 +16,7 @@ use crate::params::VoodbParams;
 use crate::results::PhaseResult;
 use desp::{
     CalendarKind, Engine, HeapKind, MetricSet, NoProbe, Probe, QueueKind, ReplicationPolicy,
-    ReplicationReport, Replicator, SchedulerKind, SimTime, WheelKind,
+    ReplicationReport, Replicator, SchedulerKind, SimTime, StopReason,
 };
 use ocb::{
     Arrival, DatabaseParams, LazySource, ObjectBase, Transaction, TransactionSource,
@@ -118,6 +118,10 @@ impl<'a> Simulation<'a> {
     /// horizon ([`PhaseMode::Horizon`], which may cut transactions off
     /// mid-flight; only committed ones are counted). Phase memory is
     /// O(in-flight) transactions.
+    ///
+    /// # Panics
+    /// Panics if the event list misorders ([`StopReason::Misordered`]):
+    /// a phase cut short on a broken timeline is never reported.
     pub fn run_phase_source_on<P: Probe, Q: QueueKind>(
         &mut self,
         source: Box<dyn TransactionSource + 'a>,
@@ -134,6 +138,12 @@ impl<'a> Simulation<'a> {
                 engine.run_until(SimTime::from_ms(duration_ms))
             }
         };
+        if let StopReason::Misordered { time, clock } = outcome.reason {
+            panic!(
+                "the event list yielded an event at {time} behind the clock at {clock}; \
+                 refusing to report the phase"
+            );
+        }
         let (mut model, probe) = engine.into_parts();
         model.finalize_phase(outcome.end_time);
         let result = model.phase_result(outcome.events_dispatched);
@@ -156,9 +166,6 @@ impl<'a> Simulation<'a> {
             SchedulerKind::Heap => {
                 self.run_phase_probed_on::<P, HeapKind>(transactions, cold_count, probe)
             }
-            SchedulerKind::Wheel => {
-                self.run_phase_probed_on::<P, WheelKind>(transactions, cold_count, probe)
-            }
         }
     }
 
@@ -177,9 +184,6 @@ impl<'a> Simulation<'a> {
             }
             SchedulerKind::Heap => {
                 self.run_phase_source_on::<P, HeapKind>(source, mode, arrival, probe)
-            }
-            SchedulerKind::Wheel => {
-                self.run_phase_source_on::<P, WheelKind>(source, mode, arrival, probe)
             }
         }
     }

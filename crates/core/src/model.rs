@@ -1063,9 +1063,6 @@ impl<'a> VoodbModel<'a> {
             self.cpu.release(ctx);
         }
         self.scheduler.release(ctx);
-        if matches!(self.user_model, UserModel::Cohort) {
-            self.admit_from_ring(ctx);
-        }
         self.completed += 1;
         let measured = match self.mode {
             PhaseMode::Count { .. } => tx_measured,
@@ -1106,6 +1103,13 @@ impl<'a> VoodbModel<'a> {
             }
         }
         ctx.emit_span(tid as u32, serial as u64, SpanPoint::Committed);
+        // Admit only now: the admitted `Submit` reuses slot `tid`, and
+        // opening its span earlier would orphan this one's stages and
+        // `Committed`. Still before the samples (they count the admitted
+        // transaction) and any scheduling, so the event order holds.
+        if matches!(self.user_model, UserModel::Cohort) {
+            self.admit_from_ring(ctx);
+        }
         if ctx.tracing() {
             // Utilisation/occupancy snapshots at every commit: cheap,
             // commit-frequency sampling of the passive resources.

@@ -1,6 +1,7 @@
 //! Integration tests of the multi-phase simulation driver.
 
 use clustering::{ClusteringKind, DstcParams};
+use desp::{NoProbe, QueueKind, Scheduler, SimTime};
 use ocb::{DatabaseParams, ObjectBase, WorkloadGenerator, WorkloadParams};
 use voodb::{Simulation, SystemClass, VoodbParams};
 
@@ -190,4 +191,50 @@ fn mpl_one_serialises_but_preserves_ios() {
     // Same single buffer → same I/O count either way; response times
     // differ (queueing at the scheduler vs at the disk).
     assert_eq!(serial.total_ios(), parallel.total_ios());
+}
+
+/// A deliberately broken event list: pops the most recent push.
+struct Lifo<E>(Vec<(SimTime, E)>);
+
+impl<E> Default for Lifo<E> {
+    fn default() -> Self {
+        Lifo(Vec::new())
+    }
+}
+
+impl<E> Scheduler<E> for Lifo<E> {
+    const NAME: &'static str = "lifo";
+    fn push(&mut self, time: SimTime, event: E) {
+        self.0.push((time, event));
+    }
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.0.pop()
+    }
+    fn peek_time(&mut self) -> Option<SimTime> {
+        self.0.last().map(|&(t, _)| t)
+    }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
+struct LifoKind;
+
+impl QueueKind for LifoKind {
+    type Queue<E> = Lifo<E>;
+}
+
+#[test]
+#[should_panic(expected = "refusing to report the phase")]
+fn misordered_phase_is_never_reported() {
+    let base = base();
+    let txs = transactions(&base, 40, 5);
+    // Several users keep several events pending, so LIFO pops run
+    // behind the clock.
+    let params = VoodbParams {
+        users: 8,
+        ..VoodbParams::default()
+    };
+    let mut simulation = Simulation::new(&base, params, 0.0, 5);
+    simulation.run_phase_probed_on::<NoProbe, LifoKind>(txs, 0, NoProbe);
 }

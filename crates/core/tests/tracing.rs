@@ -2,7 +2,7 @@
 //! without perturbing it.
 
 use desp::CountingProbe;
-use ocb::{DatabaseParams, ObjectBase, WorkloadGenerator, WorkloadParams};
+use ocb::{DatabaseParams, ObjectBase, UserModel, WorkloadGenerator, WorkloadParams};
 use voodb::{Simulation, SystemClass, VoodbParams};
 use vtrace::RecorderConfig;
 
@@ -47,6 +47,39 @@ fn traced_phase_matches_untraced_phase_exactly() {
     assert_eq!(recorder.spans().len(), 40, "one span per transaction");
     assert_eq!(recorder.open_spans(), 0, "every span committed");
     assert_eq!(recorder.events_dispatched(), traced.events);
+}
+
+#[test]
+fn traced_cohort_run_with_waiting_users_records_every_commit() {
+    // Six cohort users on two MPL seats: each commit hands its freed
+    // slab slot straight to the admission ring. The committing
+    // transaction's span must close before the admitted one opens on
+    // the same slot, or the recorder drops it.
+    let (base, transactions, params) = setup(6);
+    let mut plain = Simulation::new(&base, params.clone(), 1.0, 7);
+    plain.configure_users(UserModel::Cohort, &[]);
+    let untraced = plain.run_phase(transactions.clone(), 0);
+    assert!(
+        plain.model().admission_high_water() > 0,
+        "the admission ring must queue for this test to bite"
+    );
+
+    let mut probed = Simulation::new(&base, params, 1.0, 7);
+    probed.configure_users(UserModel::Cohort, &[]);
+    let (traced, mut recorder) =
+        probed.run_phase_probed(transactions, 0, RecorderConfig::new().build());
+    recorder.flush();
+
+    // Debug prints each f64 as its shortest round-trip form, so equal
+    // renderings mean bitwise-equal results.
+    assert_eq!(
+        format!("{traced:?}"),
+        format!("{untraced:?}"),
+        "recording must not perturb the cohort model"
+    );
+    assert_eq!(traced.transactions, 40);
+    assert_eq!(recorder.spans().len(), 40, "one span per commit");
+    assert_eq!(recorder.open_spans(), 0, "every span committed");
 }
 
 #[test]

@@ -17,7 +17,10 @@
 //!   a pure function of its seed *and independent of the scheduler
 //!   implementation*.
 //! * **Monotone clock** — an event can never be scheduled in the past;
-//!   violations panic rather than silently corrupting the timeline.
+//!   violations panic rather than silently corrupting the timeline. An
+//!   event list that yields an event earlier than the clock (a scheduler
+//!   ordering bug) ends the run with [`StopReason::Misordered`] in every
+//!   build profile; the event is not dispatched.
 
 // Dispatch hot path: runs once per event, so a stray unwrap would turn a
 // recoverable modelling bug into an abort. Enforced statically here and
@@ -198,6 +201,16 @@ pub enum StopReason {
     Horizon,
     /// The event budget passed to [`Engine::run_steps`] was consumed.
     Budget,
+    /// The event list yielded an event earlier than the clock: a
+    /// scheduler ordering bug. The event was dropped undispatched, the
+    /// clock stays at `clock`, and every later run call on the engine
+    /// returns this reason without dispatching.
+    Misordered {
+        /// Time of the offending event.
+        time: SimTime,
+        /// The clock when the event list yielded it.
+        clock: SimTime,
+    },
 }
 
 /// Summary of a completed run.
@@ -232,6 +245,8 @@ pub struct Engine<M: Model<P, Q>, P: Probe = NoProbe, Q: QueueKind = CalendarKin
     /// sample at a stable cadence.
     dispatch_countdown: u64,
     initialised: bool,
+    /// Set (with `stop`) once the event list misorders; sticky.
+    fault: Option<StopReason>,
 }
 
 impl<M: Model> Engine<M> {
@@ -265,6 +280,7 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
             dispatched: 0,
             dispatch_countdown,
             initialised: false,
+            fault: None,
         }
     }
 
@@ -317,13 +333,20 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
     }
 
     /// Pops and dispatches the next event. Callers have already checked
-    /// `stop` and run `ensure_init`.
+    /// `stop` and run `ensure_init`. Returns `false` when nothing remains
+    /// or the event list misordered (see [`Engine::halt_misordered`]).
     #[inline]
     fn dispatch_next(&mut self) -> bool {
         let Some((time, event)) = self.events.pop() else {
             return false;
         };
-        debug_assert!(time >= self.clock, "event list yielded a past event");
+        // One float compare per pop. `schedule*` admits neither NaN nor
+        // −0.0 as an event time, so it agrees with the schedulers'
+        // `total_cmp` order.
+        if time.as_ms() < self.clock.as_ms() {
+            self.halt_misordered(time, self.clock);
+            return false;
+        }
         self.clock = time;
         self.dispatched += 1;
         if P::ENABLED {
@@ -341,6 +364,14 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
         };
         self.model.handle(event, &mut ctx);
         true
+    }
+
+    /// The event list yielded `time` behind `clock`: record the fault
+    /// and stop, so no later event is dispatched on a broken timeline.
+    #[cold]
+    fn halt_misordered(&mut self, time: SimTime, clock: SimTime) {
+        self.fault = Some(StopReason::Misordered { time, clock });
+        self.stop = true;
     }
 
     /// Reports engine-lifetime event totals to the probe at the end of
@@ -381,7 +412,11 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
             let Some((time, event)) = self.events.pop() else {
                 break;
             };
-            debug_assert!(time >= clock, "event list yielded a past event");
+            // The `dispatch_next` check, on the register copy.
+            if time.as_ms() < clock.as_ms() {
+                self.halt_misordered(time, clock);
+                break;
+            }
             clock = time;
             dispatched += 1;
             if P::ENABLED {
@@ -404,11 +439,11 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
         self.dispatch_countdown = countdown;
         self.finish_run();
         RunOutcome {
-            reason: if self.stop {
+            reason: self.fault.unwrap_or(if self.stop {
                 StopReason::Stopped
             } else {
                 StopReason::Exhausted
-            },
+            }),
             end_time: self.clock,
             events_dispatched: self.dispatched - start,
         }
@@ -437,7 +472,7 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
         };
         self.finish_run();
         RunOutcome {
-            reason,
+            reason: self.fault.unwrap_or(reason),
             end_time: self.clock,
             events_dispatched: self.dispatched - start,
         }
@@ -460,7 +495,7 @@ impl<M: Model<P, Q>, P: Probe, Q: QueueKind> Engine<M, P, Q> {
         }
         self.finish_run();
         RunOutcome {
-            reason,
+            reason: self.fault.unwrap_or(reason),
             end_time: self.clock,
             events_dispatched: self.dispatched - start,
         }

@@ -76,7 +76,7 @@ pub use replication::{MetricSet, ReplicationPolicy, ReplicationReport, Replicato
 pub use resource::{Discipline, Resource};
 pub use sched::{
     key_time, time_key, CalendarKind, CalendarQueue, EventHeap, HeapKind, QueueKind, Scheduler,
-    SchedulerKind, TimerWheel, WheelKind,
+    SchedulerKind,
 };
 pub use stats::{ConfidenceInterval, TimeWeighted, Welford};
 pub use time::SimTime;

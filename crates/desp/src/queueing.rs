@@ -299,9 +299,6 @@ pub fn simulate_mm1_sched(
         SchedulerKind::Heap => {
             simulate_mmc_on::<crate::sched::HeapKind>(lambda, mu, 1, horizon_ms, warmup_ms, seed)
         }
-        SchedulerKind::Wheel => {
-            simulate_mmc_on::<crate::sched::WheelKind>(lambda, mu, 1, horizon_ms, warmup_ms, seed)
-        }
     }
 }
 

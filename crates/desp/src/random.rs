@@ -36,8 +36,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// xoshiro256++ pseudo-random generator.
 ///
 /// Period 2^256 − 1; passes BigCrush. Chosen over `StdRng` so that the
-/// simulation results recorded in `EXPERIMENTS.md` stay reproducible even
-/// across major `rand` releases.
+/// simulation results pinned by the golden tests and written by
+/// `repro_all` stay reproducible even across major `rand` releases.
 #[derive(Clone, Debug)]
 pub struct Xoshiro256 {
     s: [u64; 4],

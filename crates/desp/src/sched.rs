@@ -83,15 +83,6 @@ impl QueueKind for HeapKind {
     type Queue<E> = EventHeap<E>;
 }
 
-/// [`QueueKind`] of the hierarchical [`TimerWheel`] — tuned for the
-/// far-future think-time deluge of large closed user populations.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WheelKind;
-
-impl QueueKind for WheelKind {
-    type Queue<E> = TimerWheel<E>;
-}
-
 /// Runtime scheduler selector (`voodb run --scheduler`, bench flags).
 /// Match on it once per run, then enter the statically-typed engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -101,24 +92,17 @@ pub enum SchedulerKind {
     Calendar,
     /// The binary heap (differential-testing oracle).
     Heap,
-    /// The hierarchical timer wheel (far-future-heavy schedules).
-    Wheel,
 }
 
 impl SchedulerKind {
     /// All selectable kinds.
-    pub const ALL: [SchedulerKind; 3] = [
-        SchedulerKind::Calendar,
-        SchedulerKind::Heap,
-        SchedulerKind::Wheel,
-    ];
+    pub const ALL: [SchedulerKind; 2] = [SchedulerKind::Calendar, SchedulerKind::Heap];
 
     /// The CLI spelling.
     pub fn name(self) -> &'static str {
         match self {
             SchedulerKind::Calendar => "calendar",
             SchedulerKind::Heap => "heap",
-            SchedulerKind::Wheel => "wheel",
         }
     }
 }
@@ -136,9 +120,8 @@ impl std::str::FromStr for SchedulerKind {
         match s {
             "calendar" => Ok(SchedulerKind::Calendar),
             "heap" => Ok(SchedulerKind::Heap),
-            "wheel" => Ok(SchedulerKind::Wheel),
             other => Err(format!(
-                "unknown scheduler '{other}' (known: calendar, heap, wheel)"
+                "unknown scheduler '{other}' (known: calendar, heap)"
             )),
         }
     }
@@ -360,8 +343,8 @@ pub struct CalendarQueue<E> {
     resizes: u64,
     /// Lifetime count of events parked on the overflow heap, from any
     /// path (push beyond the horizon, or a shrink moving the horizon
-    /// below a ring event). Diagnostic: `schedbench` reports it so the
-    /// wheel-vs-calendar crossover is measurable, not asserted.
+    /// below a ring event). Diagnostic: `schedbench` reports it next to
+    /// the resize count.
     overflow_pushes: u64,
 }
 
@@ -791,510 +774,6 @@ impl<E> Scheduler<E> for CalendarQueue<E> {
     }
 }
 
-/// Level-0 slot count of the timer wheel (the fine ring).
-const WHEEL_L0_SLOTS: usize = 256;
-/// Coarse-level slot count (levels 1 and 2).
-const WHEEL_LX_SLOTS: usize = 64;
-/// Bit width of a level-0 lap: level 1 stages `2^8`-tick windows.
-const WHEEL_L0_BITS: u32 = 8;
-/// Bit width of a level-1 lap: level 2 stages `2^14`-tick windows.
-const WHEEL_L1_BITS: u32 = 14;
-/// Tick spans of levels 0/1/2 (`2^8`, `2^14`, `2^20` ticks).
-const WHEEL_SPAN0: u64 = 1 << WHEEL_L0_BITS;
-const WHEEL_SPAN1: u64 = 1 << WHEEL_L1_BITS;
-const WHEEL_SPAN2: u64 = 1 << (WHEEL_L1_BITS + 6);
-/// Settle-hop budget before the cold [`TimerWheel::reanchor`] fallback.
-const WHEEL_MAX_HOPS: usize = 1024;
-/// Staged population that first triggers a width recalibration (≈4
-/// events per level-0 slot); the trigger then doubles with each
-/// rebuild, keeping recalibration amortized O(1) per push.
-const WHEEL_RECAL_BASE: usize = 4 * WHEEL_L0_SLOTS;
-
-/// The hierarchical timer-wheel future event list: a 256-slot fine
-/// ring (level 0) fed by two 64-slot coarse staging levels and an
-/// overflow min-heap, sized for the think-time deluge of large closed
-/// user populations — a push lands in O(1), cascades down at most
-/// twice as the cursor approaches it, and pops off the sorted level-0
-/// slot tail exactly like the calendar queue's fast path.
-///
-/// * An event `d` ticks ahead of the cursor routes to level 0
-///   (`d < 2^8`, slot `tick & 255`, kept sorted descending by packed
-///   `(time_key, seq)` order), level 1 (`d < 2^14`, window
-///   `tick >> 8`), level 2 (`d < 2^20`, window `tick >> 14`), or the
-///   overflow heap. Coarse slots are unsorted append-only vectors.
-/// * When the cursor enters a new level-1 (level-2) window, that
-///   window's slot is *scattered*: every event re-routes through the
-///   same distance rule, so next-epoch aliases simply re-stage and the
-///   slot invariants self-heal — including after a cursor rewind
-///   (a push behind a peeked cursor), where the cold
-///   [`TimerWheel::reanchor`] search is the backstop.
-/// * Like the calendar queue it is born *collapsed* (one sorted
-///   vector); the tick width is estimated from the pending set when
-///   the population outgrows that, and the wheel collapses back when
-///   it drains. Geometry never reorders events: pops are in exact
-///   ascending `(time, seq)` order, fuzz-differentialed against
-///   [`EventHeap`].
-pub struct TimerWheel<E> {
-    /// Level 0. In collapsed mode only `l0[0]` is used, as the single
-    /// all-of-time sorted bucket.
-    l0: Vec<Vec<Slot<E>>>,
-    l1: Vec<Vec<Slot<E>>>,
-    l2: Vec<Vec<Slot<E>>>,
-    len0: usize,
-    len1: usize,
-    len2: usize,
-    width: f64,
-    inv_width: f64,
-    /// Tick the cursor is on; every staged event's tick is ≥ this.
-    cur_tick: u64,
-    collapsed: bool,
-    overflow: BinaryHeap<OverflowSlot<E>>,
-    /// Cached `overflow.peek().ord`, `u128::MAX` when empty.
-    overflow_min_ord: u128,
-    /// Staged population that triggers the next width recalibration.
-    recal_at: usize,
-    seq: u64,
-}
-
-impl<E> Default for TimerWheel<E> {
-    fn default() -> Self {
-        TimerWheel {
-            l0: vec![Vec::new()],
-            l1: Vec::new(),
-            l2: Vec::new(),
-            len0: 0,
-            len1: 0,
-            len2: 0,
-            width: f64::INFINITY,
-            inv_width: 0.0,
-            cur_tick: 0,
-            collapsed: true,
-            overflow: BinaryHeap::new(),
-            overflow_min_ord: u128::MAX,
-            recal_at: WHEEL_RECAL_BASE,
-            seq: 0,
-        }
-    }
-}
-
-impl<E> TimerWheel<E> {
-    /// An empty wheel (collapsed mode).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Current tick width in ms (diagnostic).
-    pub fn tick_width(&self) -> f64 {
-        self.width
-    }
-
-    /// Events parked on the overflow heap (diagnostic).
-    pub fn overflow_len(&self) -> usize {
-        self.overflow.len()
-    }
-
-    /// Tick index of instant `t` under the current width. Monotone in
-    /// `t` for `t ≥ 0` (saturating at `u64::MAX` for +∞).
-    #[inline]
-    fn tick_of(&self, t: f64) -> u64 {
-        (t * self.inv_width) as u64
-    }
-
-    /// Tick index of a stored slot (derived from its packed order).
-    #[inline]
-    fn slot_tick(&self, slot_ord: u128) -> u64 {
-        self.tick_of(ord_time(slot_ord).as_ms())
-    }
-
-    /// Events staged on the three levels (excludes overflow).
-    #[inline]
-    fn levels_len(&self) -> usize {
-        self.len0 + self.len1 + self.len2
-    }
-
-    /// Routes a slot by its tick distance from the cursor — the single
-    /// placement rule shared by push, scatter and reanchor.
-    #[inline]
-    fn place(&mut self, slot: Slot<E>) {
-        let tick = self.slot_tick(slot.ord);
-        debug_assert!(tick >= self.cur_tick, "place behind the cursor");
-        let d = tick.saturating_sub(self.cur_tick);
-        if d < WHEEL_SPAN0 {
-            let bucket = &mut self.l0[(tick as usize) & (WHEEL_L0_SLOTS - 1)];
-            insert_desc_slot(bucket, slot);
-            self.len0 += 1;
-        } else if d < WHEEL_SPAN1 {
-            self.l1[((tick >> WHEEL_L0_BITS) as usize) & (WHEEL_LX_SLOTS - 1)].push(slot);
-            self.len1 += 1;
-        } else if d < WHEEL_SPAN2 {
-            self.l2[((tick >> WHEEL_L1_BITS) as usize) & (WHEEL_LX_SLOTS - 1)].push(slot);
-            self.len2 += 1;
-        } else {
-            if slot.ord < self.overflow_min_ord {
-                self.overflow_min_ord = slot.ord;
-            }
-            self.overflow.push(OverflowSlot(slot));
-        }
-    }
-
-    /// Re-routes every event of a coarse slot through [`Self::place`].
-    /// Next-epoch aliases land back on a coarse level (possibly the
-    /// same slot — the drain works on the taken vector, so that is
-    /// safe) and are picked up when the cursor reaches *their* window.
-    fn scatter(&mut self, level: u8, idx: usize) {
-        let mut taken = match level {
-            1 => std::mem::take(&mut self.l1[idx]),
-            _ => std::mem::take(&mut self.l2[idx]),
-        };
-        match level {
-            1 => self.len1 -= taken.len(),
-            _ => self.len2 -= taken.len(),
-        }
-        for slot in taken.drain(..) {
-            self.place(slot);
-        }
-        // Hand the emptied storage back unless a re-place refilled it.
-        match level {
-            1 if self.l1[idx].is_empty() => self.l1[idx] = taken,
-            2 if self.l2[idx].is_empty() => self.l2[idx] = taken,
-            _ => {}
-        }
-    }
-
-    /// Scatters the coarse slots whose window the cursor just entered
-    /// (`tick` is a level-0 lap boundary). Level 2 first: its events
-    /// may re-route into the level-1 slot scattered right after.
-    fn cross_boundaries(&mut self, tick: u64) {
-        debug_assert_eq!(tick & (WHEEL_SPAN0 - 1), 0);
-        if tick & (WHEEL_SPAN1 - 1) == 0 {
-            self.scatter(2, ((tick >> WHEEL_L1_BITS) as usize) & (WHEEL_LX_SLOTS - 1));
-        }
-        self.scatter(1, ((tick >> WHEEL_L0_BITS) as usize) & (WHEEL_LX_SLOTS - 1));
-    }
-
-    /// Pops the overflow head, refreshing the cached minimum.
-    #[inline(never)]
-    fn pop_overflow(&mut self) -> Option<(SimTime, E)> {
-        let slot = self.overflow.pop()?.0;
-        self.overflow_min_ord = self.overflow.peek().map_or(u128::MAX, |o| o.0.ord);
-        Some((ord_time(slot.ord), slot.event))
-    }
-
-    /// Advances the cursor to the source of the global minimum.
-    /// Callers have handled collapsed mode, the empty-levels case and
-    /// the current-slot fast path.
-    fn settle_slow(&mut self) -> Src {
-        debug_assert!(self.levels_len() > 0);
-        // The pop fast path can fail with a current-tick tail when the
-        // overflow head is earlier (exact packed-order comparison).
-        if let Some(tail) = self.l0[(self.cur_tick as usize) & (WHEEL_L0_SLOTS - 1)].last() {
-            if self.slot_tick(tail.ord) == self.cur_tick {
-                debug_assert!(tail.ord > self.overflow_min_ord);
-                return Src::Overflow;
-            }
-        }
-        let ov_tick = match self.overflow.peek() {
-            None => u64::MAX,
-            Some(o) => self.slot_tick(o.0.ord),
-        };
-        let mut hops = 0usize;
-        loop {
-            hops += 1;
-            if hops > WHEEL_MAX_HOPS {
-                return self.reanchor();
-            }
-            if self.len0 == 0 {
-                // Nothing fine-grained pending: jump straight to the
-                // next boundary that can stage events down.
-                if self.len1 == 0 && self.len2 == 0 {
-                    return Src::Overflow;
-                }
-                let next = if self.len1 > 0 {
-                    (self.cur_tick | (WHEEL_SPAN0 - 1)) + 1
-                } else {
-                    (self.cur_tick | (WHEEL_SPAN1 - 1)) + 1
-                };
-                if next > ov_tick {
-                    // Every staged event's tick is ≥ `next` (the
-                    // current windows were scattered on entry), so the
-                    // overflow head is strictly earlier.
-                    return Src::Overflow;
-                }
-                self.cur_tick = next;
-                self.cross_boundaries(next);
-            } else {
-                // A level-0 event exists somewhere in the current lap;
-                // walk tick by tick until its slot comes up.
-                self.cur_tick += 1;
-                if self.cur_tick > ov_tick {
-                    return Src::Overflow;
-                }
-                if self.cur_tick & (WHEEL_SPAN0 - 1) == 0 {
-                    self.cross_boundaries(self.cur_tick);
-                }
-            }
-            if let Some(tail) = self.l0[(self.cur_tick as usize) & (WHEEL_L0_SLOTS - 1)].last() {
-                if self.slot_tick(tail.ord) == self.cur_tick {
-                    return if tail.ord < self.overflow_min_ord {
-                        Src::Ring
-                    } else {
-                        Src::Overflow
-                    };
-                }
-            }
-        }
-    }
-
-    /// Cold backstop for cursor-rewind aliasing (a level-0 slot can
-    /// then hold an event beyond the current lap, which the bounded
-    /// walk cannot see): finds the global minimum across all levels
-    /// directly, re-anchors the cursor on its tick, and restores the
-    /// entered-window invariant by scattering the covering coarse
-    /// slots — which also drops the minimum itself into level 0 if it
-    /// was staged.
-    #[cold]
-    fn reanchor(&mut self) -> Src {
-        let mut best: Option<u128> = None;
-        for bucket in &self.l0 {
-            if let Some(tail) = bucket.last() {
-                if best.is_none_or(|b| tail.ord < b) {
-                    best = Some(tail.ord);
-                }
-            }
-        }
-        for slot in self.l1.iter().chain(self.l2.iter()).flatten() {
-            if best.is_none_or(|b| slot.ord < b) {
-                best = Some(slot.ord);
-            }
-        }
-        let best = best.expect("levels_len > 0 but no staged event");
-        if best > self.overflow_min_ord {
-            return Src::Overflow;
-        }
-        self.cur_tick = self.slot_tick(best);
-        self.scatter(
-            2,
-            ((self.cur_tick >> WHEEL_L1_BITS) as usize) & (WHEEL_LX_SLOTS - 1),
-        );
-        self.scatter(
-            1,
-            ((self.cur_tick >> WHEEL_L0_BITS) as usize) & (WHEEL_LX_SLOTS - 1),
-        );
-        debug_assert!(self.l0[(self.cur_tick as usize) & (WHEEL_L0_SLOTS - 1)]
-            .last()
-            .is_some_and(|tail| tail.ord == best));
-        Src::Ring
-    }
-
-    /// The non-fast-path arm of [`Scheduler::pop`].
-    #[inline(never)]
-    fn pop_slow(&mut self) -> Option<(SimTime, E)> {
-        match self.settle_slow() {
-            Src::Ring => {
-                let slot = self.l0[(self.cur_tick as usize) & (WHEEL_L0_SLOTS - 1)]
-                    .pop()
-                    .expect("settled on ring");
-                self.len0 -= 1;
-                self.maybe_collapse();
-                Some((ord_time(slot.ord), slot.event))
-            }
-            Src::Overflow => self.pop_overflow(),
-        }
-    }
-
-    /// Leaves collapsed mode: allocates the rings, estimates the tick
-    /// width from the pending set, and routes everything.
-    #[cold]
-    fn expand(&mut self) {
-        debug_assert!(self.overflow.is_empty(), "collapsed mode has no overflow");
-        let mut all = std::mem::take(&mut self.l0[0]);
-        all.reverse(); // collapsed bucket is descending; the width sample wants ascending
-        let width = estimate_width(&all).unwrap_or(1.0);
-        self.width = width;
-        self.inv_width = 1.0 / width;
-        self.collapsed = false;
-        self.l0.resize_with(WHEEL_L0_SLOTS, Vec::new);
-        self.l1.resize_with(WHEEL_LX_SLOTS, Vec::new);
-        self.l2.resize_with(WHEEL_LX_SLOTS, Vec::new);
-        self.len0 = 0;
-        self.len1 = 0;
-        self.len2 = 0;
-        self.cur_tick = all.first().map_or(0, |s| self.slot_tick(s.ord));
-        for slot in all {
-            self.place(slot);
-        }
-    }
-
-    /// Push-side width recalibration, the wheel's analogue of the
-    /// calendar queue's grow-side re-estimation: the tick width was
-    /// sampled when the population left collapsed mode (a handful of
-    /// events), so a population that keeps growing — one wake per user
-    /// of a large closed population — packs thousands of events into
-    /// each level-0 slot and the sorted-bucket insert goes quadratic.
-    /// Re-estimate the width from the *current* pending set and
-    /// re-route everything; the doubling trigger in `push` keeps the
-    /// O(n) rebuilds amortized O(1) per push. Overflow events stay put:
-    /// a finer width only moves the staged horizon closer.
-    #[cold]
-    fn recalibrate(&mut self) {
-        let mut all: Vec<Slot<E>> = Vec::with_capacity(self.levels_len());
-        for bucket in self
-            .l0
-            .iter_mut()
-            .chain(self.l1.iter_mut())
-            .chain(self.l2.iter_mut())
-        {
-            all.append(bucket);
-        }
-        all.sort_unstable_by_key(|s| s.ord);
-        if let Some(width) = estimate_width(&all) {
-            self.width = width;
-            self.inv_width = 1.0 / width;
-        }
-        self.len0 = 0;
-        self.len1 = 0;
-        self.len2 = 0;
-        if let Some(first) = all.first() {
-            self.cur_tick = self.slot_tick(first.ord);
-        }
-        // Descending order makes every level-0 sorted insert an O(1)
-        // tail append.
-        for slot in all.into_iter().rev() {
-            self.place(slot);
-        }
-        self.recal_at = (self.levels_len() * 2).max(WHEEL_RECAL_BASE);
-    }
-
-    /// Gathers a sparse population back into the single sorted bucket
-    /// (only when the overflow heap is empty, mirroring the calendar
-    /// queue's collapse policy).
-    #[cold]
-    fn collapse(&mut self) {
-        let mut all: Vec<Slot<E>> = Vec::with_capacity(self.levels_len());
-        for bucket in self
-            .l0
-            .iter_mut()
-            .chain(self.l1.iter_mut())
-            .chain(self.l2.iter_mut())
-        {
-            all.append(bucket);
-        }
-        all.sort_unstable_by_key(|s| std::cmp::Reverse(s.ord));
-        self.len0 = 0;
-        self.len1 = 0;
-        self.len2 = 0;
-        self.collapsed = true;
-        self.width = f64::INFINITY;
-        self.inv_width = 0.0;
-        self.cur_tick = 0;
-        self.recal_at = WHEEL_RECAL_BASE;
-        self.l0[0] = all;
-    }
-
-    /// Pop-side shrink check.
-    #[inline]
-    fn maybe_collapse(&mut self) {
-        if !self.collapsed && self.levels_len() < COLLAPSE_AT && self.overflow.is_empty() {
-            self.collapse();
-        }
-    }
-}
-
-impl<E> Scheduler<E> for TimerWheel<E> {
-    const NAME: &'static str = "wheel";
-
-    #[inline(always)]
-    fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        let ord = ((time_key(time.as_ms()) as u128) << 64) | seq as u128;
-        if self.collapsed {
-            let bucket = &mut self.l0[0];
-            insert_desc(bucket, ord, event);
-            if bucket.len() > EXPAND_AT {
-                self.expand();
-            }
-            return;
-        }
-        let tick = self.tick_of(time.as_ms());
-        if tick < self.cur_tick {
-            // The cursor peeked ahead of the clock and the model then
-            // scheduled behind it: rewind. Events staged under the old
-            // cursor stay valid — scatter re-routes epoch aliases, and
-            // `reanchor` is the backstop.
-            self.cur_tick = tick;
-        }
-        self.place(Slot { ord, event });
-        if self.levels_len() > self.recal_at {
-            self.recalibrate();
-        }
-    }
-
-    #[inline(always)]
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.collapsed {
-            let slot = self.l0[0].pop()?;
-            return Some((ord_time(slot.ord), slot.event));
-        }
-        if self.levels_len() == 0 {
-            let popped = self.pop_overflow()?;
-            // Resync the cursor across the quiet gap (same rationale
-            // as the calendar queue's ring-drained resync).
-            let tick = self.tick_of(popped.0.as_ms());
-            if tick > self.cur_tick {
-                self.cur_tick = tick;
-            }
-            self.maybe_collapse();
-            return Some(popped);
-        }
-        let idx = (self.cur_tick as usize) & (WHEEL_L0_SLOTS - 1);
-        if let Some(tail) = self.l0[idx].last() {
-            let ord = tail.ord;
-            if self.slot_tick(ord) == self.cur_tick && ord < self.overflow_min_ord {
-                let slot = self.l0[idx].pop().expect("tail seen");
-                self.len0 -= 1;
-                self.maybe_collapse();
-                return Some((ord_time(slot.ord), slot.event));
-            }
-        }
-        self.pop_slow()
-    }
-
-    #[inline]
-    fn peek_time(&mut self) -> Option<SimTime> {
-        if self.collapsed {
-            return self.l0[0].last().map(|s| ord_time(s.ord));
-        }
-        if self.levels_len() == 0 {
-            return self.overflow.peek().map(|o| ord_time(o.0.ord));
-        }
-        if let Some(tail) = self.l0[(self.cur_tick as usize) & (WHEEL_L0_SLOTS - 1)].last() {
-            let ord = tail.ord;
-            if self.slot_tick(ord) == self.cur_tick {
-                return Some(ord_time(ord.min(self.overflow_min_ord)));
-            }
-        }
-        Some(match self.settle_slow() {
-            Src::Ring => ord_time(
-                self.l0[(self.cur_tick as usize) & (WHEEL_L0_SLOTS - 1)]
-                    .last()
-                    .expect("settled")
-                    .ord,
-            ),
-            Src::Overflow => ord_time(self.overflow.peek().expect("settled").0.ord),
-        })
-    }
-
-    #[inline]
-    fn len(&self) -> usize {
-        if self.collapsed {
-            self.l0[0].len()
-        } else {
-            self.levels_len() + self.overflow.len()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1511,195 +990,5 @@ mod tests {
         );
         drain(&mut q);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn wheel_pops_in_time_order_with_fifo_ties() {
-        let mut q = TimerWheel::new();
-        q.push(SimTime::from_ms(5.0), 1);
-        q.push(SimTime::from_ms(1.0), 2);
-        q.push(SimTime::from_ms(5.0), 3);
-        q.push(SimTime::from_ms(0.5), 4);
-        assert_eq!(q.len(), 4);
-        assert_eq!(drain(&mut q), vec![(0.5, 4), (1.0, 2), (5.0, 1), (5.0, 3)]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn wheel_far_future_events_take_the_overflow() {
-        let mut q = TimerWheel::new();
-        for i in 0..48u32 {
-            q.push(SimTime::from_ms(i as f64 * 0.1), 100 + i);
-        }
-        q.push(SimTime::from_ms(1e12), 1);
-        q.push(SimTime::from_ms(f64::INFINITY), 2);
-        assert!(q.overflow_len() >= 1, "far-future events overflow");
-        let order = drain(&mut q);
-        assert!(order.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert_eq!(order[order.len() - 2], (1e12, 1));
-        assert_eq!(order[order.len() - 1], (f64::INFINITY, 2));
-    }
-
-    #[test]
-    fn wheel_peek_matches_pop() {
-        let mut q = TimerWheel::new();
-        let times = [3.0, 0.1, 77.0, 3.0, 1e7, 0.1];
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_ms(t), i as u32);
-        }
-        // Grow past collapsed mode too.
-        for i in 0..64u32 {
-            q.push(SimTime::from_ms(i as f64 * 0.7), 1000 + i);
-        }
-        while !q.is_empty() {
-            let peeked = q.peek_time().unwrap();
-            let (popped, _) = q.pop().unwrap();
-            assert_eq!(peeked, popped);
-        }
-        assert_eq!(q.peek_time(), None);
-    }
-
-    #[test]
-    fn wheel_push_behind_the_cursor_is_found() {
-        let mut q = TimerWheel::new();
-        // Leave collapsed mode with a spread-out population, then let
-        // a peek advance the cursor far ahead.
-        for i in 0..48u32 {
-            q.push(SimTime::from_ms(100.0 + i as f64 * 5.0), i);
-        }
-        while q.len() > 1 {
-            q.pop();
-        }
-        assert!(q.peek_time().is_some());
-        // A push behind the settled cursor must still pop first.
-        q.push(SimTime::from_ms(0.25), 500);
-        let order = drain(&mut q);
-        assert_eq!(order[0], (0.25, 500));
-        assert!(order.windows(2).all(|w| w[0].0 <= w[1].0));
-    }
-
-    #[test]
-    fn wheel_breeder_pattern_stays_monotone() {
-        // Same adversarial schedule as the calendar-queue breeder test
-        // (self-breeding events, zero-delay continuations, far-future
-        // pushes), checked pop-by-pop against the heap oracle — this
-        // drives expand/collapse cycles, boundary scatters, cursor
-        // rewinds and the reanchor backstop.
-        let mut rng = crate::random::RandomStream::new(3);
-        let mut q = TimerWheel::new();
-        let mut now = 0.0f64;
-        for i in 0..4 {
-            q.push(SimTime::from_ms(rng.expo(2.0)), i);
-        }
-        let mut oracle = EventHeap::new();
-        {
-            let mut rng2 = crate::random::RandomStream::new(3);
-            for i in 0..4 {
-                oracle.push(SimTime::from_ms(rng2.expo(2.0)), i);
-            }
-        }
-        let mut budget = 5000u32;
-        let mut step = 0u64;
-        while let Some((t, id)) = q.pop() {
-            let (to, ido) = oracle.pop().unwrap();
-            assert!(
-                t == to && id == ido,
-                "step {step}: popped ({}, {id}) but oracle says ({}, {ido}) (clock {}, width {}, len {}, overflow {})",
-                t.as_ms(),
-                to.as_ms(),
-                now,
-                q.tick_width(),
-                q.len(),
-                q.overflow_len(),
-            );
-            now = t.as_ms();
-            step += 1;
-            if budget == 0 {
-                continue;
-            }
-            budget -= 1;
-            match id % 3 {
-                0 => {
-                    q.push(SimTime::from_ms(now), id + 1);
-                    oracle.push(SimTime::from_ms(now), id + 1);
-                }
-                1 => {
-                    let at = now + rng.expo(1.5);
-                    q.push(SimTime::from_ms(at), id + 1);
-                    oracle.push(SimTime::from_ms(at), id + 1);
-                }
-                _ => {
-                    let at = now + rng.expo(40.0);
-                    q.push(SimTime::from_ms(at), id + 1);
-                    oracle.push(SimTime::from_ms(at), id + 1);
-                    q.push(SimTime::from_ms(now), id + 2);
-                    oracle.push(SimTime::from_ms(now), id + 2);
-                }
-            }
-        }
-        assert!(oracle.is_empty());
-    }
-
-    #[test]
-    fn wheel_think_time_deluge_matches_heap() {
-        // The workload the wheel exists for: a large far-future
-        // think-time population pushed up front, then a closed loop
-        // re-arming a fresh think time on every wake.
-        let mut rng = crate::random::RandomStream::new(7);
-        let mut q = TimerWheel::new();
-        let mut oracle = EventHeap::new();
-        for i in 0..20_000u32 {
-            let t = rng.expo(1_000.0);
-            q.push(SimTime::from_ms(t), i);
-            oracle.push(SimTime::from_ms(t), i);
-        }
-        let mut budget = 30_000u32;
-        while let Some((t, id)) = q.pop() {
-            let (to, ido) = oracle.pop().unwrap();
-            assert!(t == to && id == ido, "wheel diverged from heap");
-            if budget > 0 {
-                budget -= 1;
-                let at = t.as_ms() + rng.expo(1_000.0);
-                q.push(SimTime::from_ms(at), id);
-                oracle.push(SimTime::from_ms(at), id);
-            }
-        }
-        assert!(oracle.is_empty());
-    }
-
-    #[test]
-    fn wheel_recalibrates_as_the_population_outgrows_its_width() {
-        // The width is sampled when the wheel leaves collapsed mode —
-        // a handful of events with wide gaps. A population that then
-        // grows 1000x packs that width's level-0 slots quadratically
-        // unless the wheel re-estimates; this pins both the pop order
-        // and the fact that the width actually tightened.
-        let mut rng = crate::random::RandomStream::new(13);
-        let mut q = TimerWheel::new();
-        let mut oracle = EventHeap::new();
-        // Sparse seed population: width calibrates to ~5000 ms gaps.
-        for i in 0..30u32 {
-            let t = 5_000.0 * f64::from(i + 1);
-            q.push(SimTime::from_ms(t), i);
-            oracle.push(SimTime::from_ms(t), i);
-        }
-        let coarse = q.tick_width();
-        assert!(coarse.is_finite(), "population should have expanded");
-        // Dense deluge: 30k events over the same horizon.
-        for i in 30..30_030u32 {
-            let t = rng.uniform01() * 150_000.0;
-            q.push(SimTime::from_ms(t), i);
-            oracle.push(SimTime::from_ms(t), i);
-        }
-        assert!(
-            q.tick_width() < coarse / 8.0,
-            "width should tighten with the population (was {coarse}, now {})",
-            q.tick_width()
-        );
-        while let Some((t, id)) = q.pop() {
-            let (to, ido) = oracle.pop().unwrap();
-            assert!(t == to && id == ido, "wheel diverged from heap");
-        }
-        assert!(oracle.is_empty());
     }
 }

@@ -5,7 +5,8 @@
 //! same-timestamp bursts, events scheduled mid-run, far-future overflow
 //! events, interleaved pops that drive resizes — the two must produce
 //! identical pop sequences and engines built on them identical
-//! dispatch traces.
+//! dispatch traces. Seeded hold loops pin the same order at 1k to 1M
+//! pending events.
 
 use desp::sched::{CalendarQueue, EventHeap, Scheduler};
 use desp::{Context, Engine, HeapKind, Model, NoProbe, QueueKind, RandomStream, SimTime};
@@ -221,5 +222,71 @@ fn run_until_slices_are_scheduler_independent() {
         let b = heap.run_until(SimTime::from_ms(horizon));
         assert_eq!(a.events_dispatched, b.events_dispatched, "at {horizon}");
         assert_eq!(calendar.model().trace, heap.model().trace, "at {horizon}");
+    }
+}
+
+/// The classic hold loop at a fixed pending population: pop the
+/// minimum, push a successor `expo(mean_ms)` after it (seeded
+/// `RandomStream::new(42)`, as `schedbench` runs it). The calendar
+/// queue and the heap run in lockstep and must pop identical
+/// `(time, payload)` sequences; payloads are unique, so any reordering
+/// shows, even among equal times.
+fn hold_matches_heap(population: usize, pops: usize, mean_ms: f64) {
+    let mut rng = RandomStream::new(42);
+    let mut calendar = CalendarQueue::new();
+    let mut heap = EventHeap::new();
+    for id in 0..population as u64 {
+        let t = SimTime::from_ms(rng.expo(mean_ms));
+        calendar.push(t, id);
+        heap.push(t, id);
+    }
+    for step in 0..pops {
+        let got = calendar.pop().map(|(t, id)| (t.as_ms().to_bits(), id));
+        let want = heap.pop().map(|(t, id)| (t.as_ms().to_bits(), id));
+        assert!(
+            got == want,
+            "{population} pending, mean {mean_ms} ms: pop {step} diverged \
+             (calendar {got:?}, heap {want:?})"
+        );
+        let Some((now, _)) = want else {
+            panic!("the hold population never drains");
+        };
+        let t = SimTime::from_ms(f64::from_bits(now) + rng.expo(mean_ms));
+        let id = (population + step) as u64;
+        calendar.push(t, id);
+        heap.push(t, id);
+    }
+}
+
+/// Tight 1.11 ms holds (ring and collapse pressure) and 50 s think
+/// times (overflow-heavy), the two regimes `schedbench` measures.
+const HOLD_MEANS_MS: [f64; 2] = [1.11, 50_000.0];
+
+#[test]
+fn hold_pattern_matches_heap_at_1k_pending() {
+    for mean_ms in HOLD_MEANS_MS {
+        hold_matches_heap(1_024, 200_000, mean_ms);
+    }
+}
+
+#[test]
+fn hold_pattern_matches_heap_at_100k_pending() {
+    for mean_ms in HOLD_MEANS_MS {
+        hold_matches_heap(100_000, 400_000, mean_ms);
+    }
+}
+
+/// 300k and 1M pending over 4M pops: the million-user scale the README
+/// advertises, where resizes and overflow traffic run longest.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "multi-million-pop scale: runs in the release test lane"
+)]
+fn hold_pattern_matches_heap_at_1m_pending_over_4m_pops() {
+    for population in [300_000, 1_000_000] {
+        for mean_ms in HOLD_MEANS_MS {
+            hold_matches_heap(population, 4_000_000, mean_ms);
+        }
     }
 }

@@ -40,7 +40,7 @@ use std::collections::{BTreeSet, HashMap};
 /// degradation starts between the 24 MB and 16 MB sweep points. 230
 /// frames/MB (≈ 90% of RAM) places the knee exactly there. (Table 4's
 /// literal `BUFFSIZE = 3275` pages ≈ 13 MB would contradict the knee the
-/// paper itself reports; see EXPERIMENTS.md for the discrepancy note.)
+/// paper itself reports, so the knee wins.)
 pub const TEXAS_FRAMES_PER_MB: usize = 230;
 
 /// Data pages covered by one ext2 indirect block (4 KB blocks → 1024

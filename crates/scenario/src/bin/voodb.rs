@@ -5,7 +5,7 @@
 //! voodb run <file.toml> [--threads N] [--reps N] [--seed S] [--out DIR]
 //!           [--trace] [--trace-shards N] [--trace-sample N]
 //!           [--watch] [--watch-jsonl PATH] [--watch-interval MS]
-//!           [--scheduler calendar|heap|wheel]
+//!           [--scheduler calendar|heap]
 //!           [--duration MS] [--warmup MS] [--arrival SPEC] [--materialized]
 //! voodb analyze <run-dir>
 //! voodb compare <run-dir-a> <run-dir-b> [--threshold 0.10]
@@ -57,7 +57,7 @@ USAGE:
     voodb run <file.toml> [--threads N] [--reps N] [--seed S] [--out DIR]
               [--trace] [--trace-shards N] [--trace-sample N]
               [--watch] [--watch-jsonl PATH] [--watch-interval MS]
-              [--scheduler calendar|heap|wheel]
+              [--scheduler calendar|heap]
               [--duration MS] [--warmup MS] [--arrival SPEC] [--materialized]
     voodb analyze <run-dir>
     voodb compare <run-dir-a> <run-dir-b> [--threshold 0.10]
@@ -128,10 +128,9 @@ OPTIONS (run):
     --watch-interval MS
                   Minimum simulated ms between watch samples
                   (default 100).
-    --scheduler K Event-list implementation: calendar (default), heap, or
-                  wheel. Results are bit-identical across kinds; heap is
-                  the differential-testing oracle, wheel the far-future
-                  think-time fast path.
+    --scheduler K Event-list implementation: calendar (default) or heap.
+                  Results are bit-identical across kinds; heap is the
+                  differential-testing oracle.
     --duration MS Override workload.duration_ms: run each point as a
                   time-horizon phase of MS simulated ms (streamed; memory
                   stays O(in-flight) however long the phase).

@@ -3,8 +3,9 @@
 //! Measures (a) the raw kernel on the M/M/1 validation model — under
 //! the default calendar-queue scheduler *and* the binary-heap oracle,
 //! so the speedup is a recorded fact rather than a claim — (b) the
-//! full VOODB model untraced (both schedulers), and (c) the model
-//! under the `voodb-trace` recorder, then emits `BENCH_engine.json` —
+//! full VOODB model untraced (both schedulers), (c) the model under
+//! the `voodb-trace` recorder, and (d) the LRU buffer pool alone at
+//! the Fig. 8 cache sizes, then emits `BENCH_engine.json` —
 //! the machine-readable perf trajectory CI's perf gate diffs. Each
 //! measurement is best-of-`reps` wall-clock (min time → max
 //! events/sec), which is robust to scheduler noise.
@@ -19,18 +20,20 @@
 //!     [--smoke] [--reps 5] [--seed 42] [--out BENCH_engine.json]
 //! ```
 
+use bufmgr::{BufferPool, PageId, PolicyKind};
 use desp::queueing::simulate_mm1_sched;
-use desp::SchedulerKind;
+use desp::{RandomStream, SchedulerKind};
 use ocb::{
     Arrival, DatabaseParams, LazySource, ObjectBase, Transaction, UserModel, WorkloadGenerator,
     WorkloadParams,
 };
+use oostore::O2_FRAMES_PER_MB;
 use std::path::PathBuf;
 use std::time::Instant;
 use voodb::{
     run_once_probed, run_once_sched, ExperimentConfig, PhaseMode, Simulation, VoodbParams,
 };
-use voodb_bench::Args;
+use voodb_bench::{Args, MEMORY_SWEEP_MB};
 use vtrace::{Json, RecorderConfig};
 
 /// One emitted measurement.
@@ -310,6 +313,39 @@ fn main() {
         (eps, peak_rss_mb())
     };
 
+    // The buffer path on its own: an LRU pool replaying one seeded
+    // reference string (half of it on a hot fifth of a 21 MB base, a
+    // quarter writes) at each Fig. 8 cache size. Every access is O(1) in
+    // the page-indexed pool; a slip back to an ordered or hashed map
+    // shows here as a several-fold drop. Measured after the million-user
+    // phase, so the reference string stays out of that phase's peak RSS.
+    let lru_refs: Vec<(PageId, bool)> = {
+        const PAGES: usize = 5_400;
+        let mut stream = RandomStream::new(seed ^ 0xB0F);
+        (0..if smoke { 200_000 } else { 1_000_000 })
+            .map(|_| {
+                let span = if stream.bernoulli(0.5) {
+                    PAGES / 5
+                } else {
+                    PAGES
+                };
+                (stream.index(span) as PageId, stream.bernoulli(0.25))
+            })
+            .collect()
+    };
+    let bufmgr_lru = best_events_per_sec(reps, || {
+        let mut hits = 0;
+        for mb in MEMORY_SWEEP_MB {
+            let mut pool = BufferPool::new(mb * O2_FRAMES_PER_MB, PolicyKind::Lru);
+            for &(page, write) in &lru_refs {
+                pool.access(page, write);
+            }
+            hits += pool.stats().hits;
+        }
+        std::hint::black_box(hits);
+        (MEMORY_SWEEP_MB.len() * lru_refs.len()) as u64
+    });
+
     let measurements = [
         Measurement {
             name: "kernel_mm1_events_per_sec",
@@ -355,6 +391,11 @@ fn main() {
             name: "workload_gen_tx_per_sec",
             value: workload_gen,
             unit: "tx/s",
+        },
+        Measurement {
+            name: "bufmgr_lru_accesses_per_sec",
+            value: bufmgr_lru,
+            unit: "accesses/s",
         },
         Measurement {
             name: "stream_phase_tx_per_sec",

@@ -4,17 +4,45 @@
 //! are parameterised with in Table 4 of the paper.
 
 use crate::policy::{PageId, ReplacementPolicy};
-use std::collections::{BTreeSet, HashMap};
 
-/// Least-recently-used replacement, O(log n) per operation.
+/// No neighbour: the end of the list.
+const NIL: u32 = u32::MAX;
+/// `prev` of a page that is not on the list.
+const UNLINKED: u32 = u32::MAX - 1;
+
+/// A page's neighbours on the recency list.
+#[derive(Clone, Copy, Debug)]
+struct Link {
+    prev: u32,
+    next: u32,
+}
+
+const FREE: Link = Link {
+    prev: UNLINKED,
+    next: NIL,
+};
+
+/// Least-recently-used replacement, O(1) per operation.
 ///
-/// Recency is tracked with a logical reference stamp; the eviction index is
-/// an ordered set of `(stamp, page)` pairs.
-#[derive(Debug, Default)]
+/// Resident pages form an intrusive doubly-linked list, least recently
+/// used at the head. The links live in a table indexed by page id and
+/// grown on demand, so page ids are expected to be dense (disk page
+/// numbers), as everywhere in this workspace.
+#[derive(Debug)]
 pub struct LruPolicy {
-    stamp_of: HashMap<PageId, u64>,
-    by_stamp: BTreeSet<(u64, PageId)>,
-    next_stamp: u64,
+    links: Vec<Link>,
+    head: u32,
+    tail: u32,
+}
+
+impl Default for LruPolicy {
+    fn default() -> Self {
+        LruPolicy {
+            links: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
 }
 
 impl LruPolicy {
@@ -23,14 +51,48 @@ impl LruPolicy {
         Self::default()
     }
 
-    fn touch(&mut self, page: PageId) {
-        if let Some(old) = self.stamp_of.get(&page).copied() {
-            self.by_stamp.remove(&(old, page));
+    fn is_linked(&self, page: PageId) -> bool {
+        self.links
+            .get(page as usize)
+            .is_some_and(|link| link.prev != UNLINKED)
+    }
+
+    fn unlink(&mut self, page: PageId) {
+        let Link { prev, next } = self.links[page as usize];
+        match prev {
+            NIL => self.head = next,
+            _ => self.links[prev as usize].next = next,
         }
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        self.stamp_of.insert(page, stamp);
-        self.by_stamp.insert((stamp, page));
+        match next {
+            NIL => self.tail = prev,
+            _ => self.links[next as usize].prev = prev,
+        }
+        self.links[page as usize] = FREE;
+    }
+
+    /// Moves `page` to the most-recently-used end, linking it if new.
+    fn touch(&mut self, page: PageId) {
+        debug_assert!(
+            page < UNLINKED,
+            "page id {page} collides with a list marker"
+        );
+        if self.tail == page {
+            return;
+        }
+        if self.is_linked(page) {
+            self.unlink(page);
+        } else if page as usize >= self.links.len() {
+            self.links.resize(page as usize + 1, FREE);
+        }
+        self.links[page as usize] = Link {
+            prev: self.tail,
+            next: NIL,
+        };
+        match self.tail {
+            NIL => self.head = page,
+            tail => self.links[tail as usize].next = page,
+        }
+        self.tail = page;
     }
 }
 
@@ -48,15 +110,13 @@ impl ReplacementPolicy for LruPolicy {
     }
 
     fn select_victim(&mut self) -> PageId {
-        self.by_stamp
-            .first()
-            .map(|&(_, page)| page)
-            .expect("LRU victim requested on empty pool")
+        assert!(self.head != NIL, "LRU victim requested on empty pool");
+        self.head
     }
 
     fn on_evict(&mut self, page: PageId) {
-        if let Some(stamp) = self.stamp_of.remove(&page) {
-            self.by_stamp.remove(&(stamp, page));
+        if self.is_linked(page) {
+            self.unlink(page);
         }
     }
 }
@@ -88,6 +148,20 @@ mod tests {
             p.on_access(0);
         }
         assert_eq!(p.select_victim(), 1);
+    }
+
+    #[test]
+    fn evicting_the_only_page_empties_the_list() {
+        let mut p = LruPolicy::new();
+        p.on_admit(3);
+        p.on_evict(3);
+        p.on_evict(3); // not resident: no-op
+        p.on_admit(5);
+        assert_eq!(p.select_victim(), 5);
+        p.on_evict(5);
+        p.on_admit(3);
+        p.on_admit(4);
+        assert_eq!(p.select_victim(), 3);
     }
 
     #[test]

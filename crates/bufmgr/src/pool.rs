@@ -8,7 +8,6 @@
 //! validation see the identical replacement behaviour.
 
 use crate::policy::{PageId, PolicyKind, ReplacementPolicy};
-use std::collections::BTreeMap;
 
 /// Result of a page access against the pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,12 +55,24 @@ impl BufferStats {
     }
 }
 
+/// Residency of one page.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Frame {
+    Absent,
+    Clean,
+    Dirty,
+}
+
 /// A buffer pool of `frames` page frames under a replacement policy.
+///
+/// Residency is a table indexed by page id and grown on demand: every
+/// lookup is O(1), and a scan of the table visits pages in ascending
+/// order. Page ids are expected to be dense disk page numbers (the table
+/// is as long as the largest page id seen).
 pub struct BufferPool {
     frames: usize,
-    // page → dirty; a BTreeMap so every residency scan (flush_all,
-    // resident_pages) is in page order, independent of any hash seed.
-    resident: BTreeMap<PageId, bool>,
+    resident: Vec<Frame>,
+    resident_count: usize,
     policy: Box<dyn ReplacementPolicy>,
     stats: BufferStats,
 }
@@ -75,7 +86,8 @@ impl BufferPool {
         assert!(frames > 0, "buffer pool needs at least one frame");
         BufferPool {
             frames,
-            resident: BTreeMap::new(),
+            resident: Vec::new(),
+            resident_count: 0,
             policy: policy.build(),
             stats: BufferStats::default(),
         }
@@ -88,12 +100,14 @@ impl BufferPool {
 
     /// Number of resident pages.
     pub fn resident_count(&self) -> usize {
-        self.resident.len()
+        self.resident_count
     }
 
     /// Is `page` resident?
     pub fn contains(&self, page: PageId) -> bool {
-        self.resident.contains_key(&page)
+        self.resident
+            .get(page as usize)
+            .is_some_and(|&frame| frame != Frame::Absent)
     }
 
     /// The accounting counters.
@@ -106,21 +120,25 @@ impl BufferPool {
         self.policy.name()
     }
 
-    /// Accesses `page`; `write` marks the page dirty. Returns whether the
-    /// access hit and which page (if any) was evicted.
-    pub fn access(&mut self, page: PageId, write: bool) -> AccessOutcome {
-        if let Some(dirty) = self.resident.get_mut(&page) {
-            *dirty |= write;
-            self.policy.on_access(page);
-            self.stats.hits += 1;
-            return AccessOutcome::Hit;
-        }
-        self.stats.misses += 1;
-        let evicted = if self.resident.len() >= self.frames {
+    /// Drops `page` from the table; returns its dirty flag if it was
+    /// resident. The policy is not told.
+    fn remove(&mut self, page: PageId) -> Option<bool> {
+        let slot = self.resident.get_mut(page as usize)?;
+        let dirty = match std::mem::replace(slot, Frame::Absent) {
+            Frame::Absent => return None,
+            frame => frame == Frame::Dirty,
+        };
+        self.resident_count -= 1;
+        Some(dirty)
+    }
+
+    /// Loads the non-resident `page`, evicting the policy's victim first
+    /// when every frame is taken. Returns the eviction, if any.
+    fn admit(&mut self, page: PageId, dirty: bool) -> Option<(PageId, bool)> {
+        let evicted = if self.resident_count >= self.frames {
             let victim = self.policy.select_victim();
             let dirty = self
-                .resident
-                .remove(&victim)
+                .remove(victim)
                 .expect("policy returned a non-resident victim");
             self.policy.on_evict(victim);
             self.stats.evictions += 1;
@@ -131,8 +149,31 @@ impl BufferPool {
         } else {
             None
         };
-        self.resident.insert(page, write);
+        let index = page as usize;
+        if index >= self.resident.len() {
+            self.resident.resize(index + 1, Frame::Absent);
+        }
+        self.resident[index] = if dirty { Frame::Dirty } else { Frame::Clean };
+        self.resident_count += 1;
         self.policy.on_admit(page);
+        evicted
+    }
+
+    /// Accesses `page`; `write` marks the page dirty. Returns whether the
+    /// access hit and which page (if any) was evicted.
+    pub fn access(&mut self, page: PageId, write: bool) -> AccessOutcome {
+        if let Some(frame) = self.resident.get_mut(page as usize) {
+            if *frame != Frame::Absent {
+                if write {
+                    *frame = Frame::Dirty;
+                }
+                self.policy.on_access(page);
+                self.stats.hits += 1;
+                return AccessOutcome::Hit;
+            }
+        }
+        self.stats.misses += 1;
+        let evicted = self.admit(page, write);
         self.policy.on_access(page);
         AccessOutcome::Miss { evicted }
     }
@@ -141,67 +182,53 @@ impl BufferPool {
     /// Returns the eviction performed, if any; `None` also when the page
     /// was already resident.
     pub fn prefetch(&mut self, page: PageId) -> Option<(PageId, bool)> {
-        if self.resident.contains_key(&page) {
+        if self.contains(page) {
             return None;
         }
-        let evicted = if self.resident.len() >= self.frames {
-            let victim = self.policy.select_victim();
-            let dirty = self
-                .resident
-                .remove(&victim)
-                .expect("policy returned a non-resident victim");
-            self.policy.on_evict(victim);
-            self.stats.evictions += 1;
-            if dirty {
-                self.stats.dirty_evictions += 1;
-            }
-            Some((victim, dirty))
-        } else {
-            None
-        };
-        self.resident.insert(page, false);
-        self.policy.on_admit(page);
-        evicted
+        self.admit(page, false)
     }
 
     /// Marks a resident page dirty without counting an access (a miss
     /// whose loading side-effect modified the page, e.g. Texas's pointer
     /// swizzling). No-op for non-resident pages.
     pub fn mark_dirty(&mut self, page: PageId) {
-        if let Some(dirty) = self.resident.get_mut(&page) {
-            *dirty = true;
+        if let Some(frame @ (Frame::Clean | Frame::Dirty)) = self.resident.get_mut(page as usize) {
+            *frame = Frame::Dirty;
         }
     }
 
     /// Drops `page` from the pool (reorganisation invalidation). Returns
     /// whether the dropped page was dirty.
     pub fn invalidate(&mut self, page: PageId) -> Option<bool> {
-        let dirty = self.resident.remove(&page)?;
+        let dirty = self.remove(page)?;
         self.policy.on_evict(page);
         Some(dirty)
     }
 
     /// Empties the pool, returning the dirty pages that would need a
-    /// write-back.
+    /// write-back, in ascending page order.
     pub fn flush_all(&mut self) -> Vec<PageId> {
-        let pages: Vec<PageId> = self.resident.keys().copied().collect();
         let mut dirty_pages = Vec::new();
-        for page in pages {
-            if let Some(dirty) = self.resident.remove(&page) {
-                self.policy.on_evict(page);
-                if dirty {
-                    dirty_pages.push(page);
-                }
+        for (page, frame) in self.resident.iter_mut().enumerate() {
+            let page = page as PageId;
+            match std::mem::replace(frame, Frame::Absent) {
+                Frame::Absent => continue,
+                Frame::Clean => {}
+                Frame::Dirty => dirty_pages.push(page),
             }
+            self.policy.on_evict(page);
         }
-        // `resident` iterates in page order, so `dirty_pages` is already
-        // sorted — kept explicit that callers may rely on it.
+        self.resident_count = 0;
         dirty_pages
     }
 
     /// Resident pages, in ascending page order.
     pub fn resident_pages(&self) -> impl Iterator<Item = PageId> + '_ {
-        self.resident.keys().copied()
+        self.resident
+            .iter()
+            .enumerate()
+            .filter(|&(_, &frame)| frame != Frame::Absent)
+            .map(|(page, _)| page as PageId)
     }
 }
 

@@ -478,12 +478,6 @@ impl<'a> VoodbModel<'a> {
         let t = self.slab.get_mut(tid);
         let oid = t.current().oid;
         let needs_lock_time = t.lock(oid);
-        if ctx.tracing() {
-            // Grant instant minus the request instant saved at
-            // StartAccess — the operands a point-pairing probe folds.
-            let waited = ctx.now().as_ms() - t.marks.lock_req_ms;
-            t.marks.lock_wait_ms += waited;
-        }
         if needs_lock_time && self.params.get_lock_ms > 0.0 {
             self.cpu.request(Event::LockCpu(tid), ctx);
         } else {
@@ -1263,9 +1257,6 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                     self.begin_commit(tid, ctx);
                     return;
                 }
-                if ctx.tracing() {
-                    self.slab.get_mut(tid).marks.lock_req_ms = ctx.now().as_ms();
-                }
                 match self.params.concurrency {
                     ConcurrencyControl::TimedOnly => self.after_lock_granted(tid, ctx),
                     ConcurrencyControl::TwoPhase {
@@ -1290,7 +1281,13 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                             LockOutcome::Granted => self.after_lock_granted(tid, ctx),
                             LockOutcome::Queued => {
                                 // Parked: resumed by a LockResume when the
-                                // conflicting holder releases.
+                                // conflicting holder releases. Only a
+                                // parked request has a lock wait to trace;
+                                // a grant at the request instant adds a
+                                // zero the span need not see.
+                                if ctx.tracing() {
+                                    self.slab.get_mut(tid).marks.lock_req_ms = ctx.now().as_ms();
+                                }
                             }
                             LockOutcome::Deadlock => {
                                 self.abort_and_restart(tid, restart_backoff_ms, ctx)
@@ -1306,6 +1303,13 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
                     .slot_of_serial(serial)
                     // audit: commit/abort purge the serial's lock entries first
                     .expect("resumed transaction is live");
+                if ctx.tracing() {
+                    // Grant instant minus the request instant saved when
+                    // the request parked — the operands a point-pairing
+                    // probe folds.
+                    let t = self.slab.get_mut(tid);
+                    t.marks.lock_wait_ms += ctx.now().as_ms() - t.marks.lock_req_ms;
+                }
                 self.after_lock_granted(tid, ctx);
             }
             Event::TxRestart(tid) => {

@@ -14,7 +14,7 @@ const PAGES: u64 = 3_000;
 const HOT_PAGES: u64 = 600;
 const FRAMES: usize = 1_000;
 const OPS: usize = 50_000;
-const SEED: u64 = 0x5EED_B0F;
+const SEED: u64 = 0x05EE_DB0F;
 
 /// SplitMix64: a self-contained stream, so the trace never moves with
 /// the library's generators.

@@ -50,15 +50,16 @@ pub fn payload_oid(payload: &[u8]) -> Oid {
 
 /// Decodes the physical reference OIDs embedded in a payload.
 pub fn payload_refs(payload: &[u8]) -> Vec<PhysicalOid> {
+    payload_refs_iter(payload).collect()
+}
+
+/// [`payload_refs`] without the allocation.
+pub(crate) fn payload_refs_iter(payload: &[u8]) -> impl Iterator<Item = PhysicalOid> + '_ {
     let nrefs = u32::from_le_bytes([payload[4], payload[5], payload[6], payload[7]]) as usize;
-    let mut refs = Vec::with_capacity(nrefs);
-    for i in 0..nrefs {
+    (0..nrefs).map(move |i| {
         let at = OBJECT_HEADER_BYTES as usize + i * PhysicalOid::WIRE_BYTES;
-        refs.push(PhysicalOid::decode(
-            &payload[at..at + PhysicalOid::WIRE_BYTES],
-        ));
-    }
-    refs
+        PhysicalOid::decode(&payload[at..at + PhysicalOid::WIRE_BYTES])
+    })
 }
 
 /// Patches reference `index` of a payload in place.

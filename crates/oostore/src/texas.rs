@@ -11,8 +11,8 @@
 //! This engine reproduces those mechanisms concretely:
 //!
 //! * a **centralized** architecture (Table 4: `SYSCLASS = Centralized`);
-//! * page-fault-driven loading through a VM frame table with LRU
-//!   replacement;
+//! * page-fault-driven loading through a VM frame table: the shared
+//!   `bufmgr` buffer pool under LRU, as the OS page cache is;
 //! * **pointer swizzling on fault**: loading a page rewrites the pointers
 //!   it contains into their in-memory form — so every faulted page is
 //!   *dirty* and its eviction is a swap **write**. Under memory pressure
@@ -26,10 +26,10 @@
 use crate::disk::{DiskTimings, IoCounts, VirtualDisk};
 use crate::engine::StorageEngine;
 use crate::oid::PhysicalOid;
-use crate::storage::{materialize, payload_oid, payload_refs};
+use crate::storage::{materialize, payload_oid, payload_refs_iter};
+use bufmgr::{AccessOutcome, BufferPool, PolicyKind};
 use clustering::{ClusteringKind, ClusteringStrategy, InitialPlacement, PageId};
 use ocb::{ObjectBase, Transaction};
-use std::collections::{BTreeSet, HashMap};
 
 /// Pages of usable frame memory per MB of machine memory.
 ///
@@ -99,68 +99,6 @@ impl TexasConfig {
     }
 }
 
-/// State of one VM frame: loaded content plus its dirty flag (a swizzled
-/// page is always dirty — its pointers were rewritten in memory).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct FrameState {
-    dirty: bool,
-}
-
-/// The VM frame table: page states plus LRU ordering.
-#[derive(Debug, Default)]
-struct VmBuffer {
-    state: HashMap<PageId, (FrameState, u64)>,
-    lru: BTreeSet<(u64, PageId)>,
-    next_stamp: u64,
-}
-
-impl VmBuffer {
-    fn len(&self) -> usize {
-        self.state.len()
-    }
-
-    fn get(&self, page: PageId) -> Option<FrameState> {
-        self.state.get(&page).map(|&(s, _)| s)
-    }
-
-    fn touch(&mut self, page: PageId) {
-        if let Some((_, stamp)) = self.state.get(&page).copied() {
-            self.lru.remove(&(stamp, page));
-            let new = self.next_stamp;
-            self.next_stamp += 1;
-            self.lru.insert((new, page));
-            self.state.get_mut(&page).expect("present").1 = new;
-        }
-    }
-
-    fn insert(&mut self, page: PageId, state: FrameState) {
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        if let Some((_, old)) = self.state.insert(page, (state, stamp)) {
-            self.lru.remove(&(old, page));
-        }
-        self.lru.insert((stamp, page));
-    }
-
-    fn set_state(&mut self, page: PageId, state: FrameState) {
-        if let Some(entry) = self.state.get_mut(&page) {
-            entry.0 = state;
-        }
-    }
-
-    fn evict_lru(&mut self) -> Option<(PageId, FrameState)> {
-        let &(stamp, page) = self.lru.first()?;
-        self.lru.remove(&(stamp, page));
-        let (state, _) = self.state.remove(&page).expect("lru/state in sync");
-        Some((page, state))
-    }
-
-    fn clear(&mut self) {
-        self.state.clear();
-        self.lru.clear();
-    }
-}
-
 /// Running counters specific to the Texas engine.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TexasCounters {
@@ -184,11 +122,16 @@ pub struct TexasEngine<'a> {
     phys_of: Vec<PhysicalOid>,
     /// First page of the ext2 indirect-block region.
     meta_start: PageId,
-    vm: VmBuffer,
+    /// The VM frame table: the shared `bufmgr` pool under LRU, as the OS
+    /// page cache is. A page's dirty flag marks a swizzled or written
+    /// page, whose eviction is a swap-out.
+    vm: BufferPool,
     strategy: Box<dyn ClusteringStrategy>,
     counters: TexasCounters,
     /// Last page that took a fault, for the OS read-ahead heuristic.
     last_fault: Option<PageId>,
+    /// Reused buffer of the swizzle step's referenced pages.
+    ref_scratch: Vec<PageId>,
 }
 
 impl<'a> TexasEngine<'a> {
@@ -209,16 +152,18 @@ impl<'a> TexasEngine<'a> {
         }
         let disk = VirtualDisk::new(pages, config.page_size, config.timings);
         let strategy = config.clustering.build();
+        let vm = BufferPool::new(config.memory_pages, PolicyKind::Lru);
         TexasEngine {
             base,
             config,
             disk,
             phys_of,
             meta_start,
-            vm: VmBuffer::default(),
+            vm,
             strategy,
             counters: TexasCounters::default(),
             last_fault: None,
+            ref_scratch: Vec::new(),
         }
     }
 
@@ -232,14 +177,10 @@ impl<'a> TexasEngine<'a> {
 
     /// Faults a metadata page through the VM (no swizzle, never dirty).
     fn touch_meta(&mut self, page: PageId) {
-        match self.vm.get(page) {
-            Some(_) => self.vm.touch(page),
-            None => {
-                self.make_room();
-                self.disk.read(page);
-                self.counters.faults += 1;
-                self.vm.insert(page, FrameState { dirty: false });
-            }
+        if let AccessOutcome::Miss { evicted } = self.vm.access(page, false) {
+            self.swap_out(evicted);
+            self.disk.read(page);
+            self.counters.faults += 1;
         }
     }
 
@@ -270,7 +211,7 @@ impl<'a> TexasEngine<'a> {
 
     /// Pages currently occupying VM frames.
     pub fn mapped_pages(&self) -> usize {
-        self.vm.len()
+        self.vm.resident_count()
     }
 
     /// Direct access to the clustering strategy (experiment drivers force
@@ -297,34 +238,37 @@ impl<'a> TexasEngine<'a> {
     }
 
     pub(crate) fn clear_vm(&mut self) {
-        self.vm.clear();
+        self.vm = BufferPool::new(self.config.memory_pages, PolicyKind::Lru);
     }
 
-    /// Makes room for one more frame, swapping out dirty pages.
-    fn make_room(&mut self) {
-        while self.vm.len() >= self.config.memory_pages {
-            let (victim, state) = self.vm.evict_lru().expect("buffer not empty");
-            if state.dirty {
-                // Swap-out: the persistent store writes the page back.
-                self.disk.write_back(victim);
-                self.counters.swap_outs += 1;
-            }
+    /// Writes back a dirty page the VM evicted to make room (a swap-out),
+    /// before the read that takes its frame.
+    fn swap_out(&mut self, evicted: Option<(PageId, bool)>) {
+        if let Some((victim, true)) = evicted {
+            self.disk.write_back(victim);
+            self.counters.swap_outs += 1;
         }
     }
 
-    /// Distinct pages referenced by the live objects of `page`.
-    fn referenced_pages(&self, page: PageId) -> Vec<PageId> {
+    /// Number of distinct other pages referenced by the live objects of
+    /// `page`.
+    fn referenced_page_count(&mut self, page: PageId) -> usize {
+        let mut targets = std::mem::take(&mut self.ref_scratch);
+        targets.clear();
         let slotted = self.disk.peek(page);
-        let mut targets = BTreeSet::new();
         for slot in slotted.live_slots() {
             let payload = slotted.get(slot).expect("live slot");
-            for r in payload_refs(payload) {
-                if r.page != page {
-                    targets.insert(r.page);
-                }
-            }
+            targets.extend(
+                payload_refs_iter(payload)
+                    .map(|r| r.page)
+                    .filter(|&p| p != page),
+            );
         }
-        targets.into_iter().collect()
+        targets.sort_unstable();
+        targets.dedup();
+        let count = targets.len();
+        self.ref_scratch = targets;
+        count
     }
 
     /// Swizzle step: rewrite the faulted page's pointers (it is now dirty)
@@ -334,8 +278,8 @@ impl<'a> TexasEngine<'a> {
         if !self.config.swizzle {
             return;
         }
-        self.counters.reservations += self.referenced_pages(page).len() as u64;
-        self.vm.set_state(page, FrameState { dirty: true });
+        self.counters.reservations += self.referenced_page_count(page) as u64;
+        self.vm.mark_dirty(page);
     }
 
     /// OS read-ahead: on a sequential fault pattern, the kernel stages the
@@ -347,12 +291,12 @@ impl<'a> TexasEngine<'a> {
             return;
         }
         let next = faulted + 1;
-        if next < self.disk.page_count() && self.vm.get(next).is_none() {
-            self.make_room();
-            self.disk.read(next);
+        if next < self.disk.page_count() && !self.vm.contains(next) {
             // Staged by the OS, not yet touched by Texas: clean until the
             // first access swizzles it.
-            self.vm.insert(next, FrameState { dirty: false });
+            let evicted = self.vm.prefetch(next);
+            self.swap_out(evicted);
+            self.disk.read(next);
         }
     }
 
@@ -360,24 +304,22 @@ impl<'a> TexasEngine<'a> {
     fn touch_page(&mut self, page: PageId, write: bool) {
         // File-system metadata: a data-page read goes through the ext2
         // indirect block, itself cached in the same memory.
-        if self.config.fs_metadata && self.vm.get(page).is_none() {
+        if self.config.fs_metadata && !self.vm.contains(page) {
             let meta = self.meta_page_of(page);
             self.touch_meta(meta);
         }
-        match self.vm.get(page) {
-            Some(state) => {
-                self.vm.touch(page);
-                if (write || self.config.swizzle) && !state.dirty {
+        match self.vm.access(page, write) {
+            AccessOutcome::Hit => {
+                if self.config.swizzle {
                     // First touch of an OS-staged page: Texas swizzles it
-                    // now (or the application writes it).
-                    self.vm.set_state(page, FrameState { dirty: true });
+                    // now (a no-op on a page already swizzled).
+                    self.vm.mark_dirty(page);
                 }
             }
-            None => {
-                self.make_room();
+            AccessOutcome::Miss { evicted } => {
+                self.swap_out(evicted);
                 self.disk.read(page);
                 self.counters.faults += 1;
-                self.vm.insert(page, FrameState { dirty: write });
                 self.swizzle(page);
                 self.readahead(page);
             }
@@ -422,20 +364,12 @@ impl StorageEngine for TexasEngine<'_> {
     }
 
     fn flush_memory(&mut self) {
-        // Swap out dirty pages, then drop every frame (cold restart).
-        let mut dirty: Vec<PageId> = self
-            .vm
-            .state
-            .iter() // audit: sorted — sort_unstable below, before any write-back
-            .filter(|(_, &(s, _))| s.dirty)
-            .map(|(&p, _)| p)
-            .collect();
-        dirty.sort_unstable();
-        for page in dirty {
+        // Swap out dirty pages in page order, dropping every frame (cold
+        // restart).
+        for page in self.vm.flush_all() {
             self.disk.write_back(page);
             self.counters.swap_outs += 1;
         }
-        self.vm.clear();
     }
 }
 
@@ -579,6 +513,53 @@ mod tests {
         engine.flush_memory();
         engine.execute(&t);
         assert_eq!(engine.io_counts().reads, 2, "cold again after flush");
+    }
+
+    #[test]
+    fn flush_memory_writes_back_exactly_the_dirty_pages_in_page_order() {
+        let base = small_base();
+        let mut engine = TexasEngine::new(&base, config(10_000, false));
+        let mut oid_on = std::collections::BTreeMap::new();
+        for oid in 0..base.len() as ocb::Oid {
+            oid_on.entry(engine.physical_oid(oid).page).or_insert(oid);
+        }
+        assert!(oid_on.len() > 12, "{} pages", oid_on.len());
+        let access = |page: PageId, write| ocb::Access {
+            oid: oid_on[&page],
+            parent: None,
+            write,
+        };
+        // Pages 2, 3, 4 and 9 are written out of page order; the last
+        // read leaves the disk head on page 12.
+        let t = Transaction {
+            kind: ocb::TransactionKind::SetOriented,
+            root: oid_on[&9],
+            accesses: vec![
+                access(9, true),
+                access(3, true),
+                access(5, false),
+                access(2, true),
+                access(4, true),
+                access(12, false),
+            ],
+        };
+        engine.execute(&t);
+        engine.reset_counters();
+        let swap_outs = engine.counters().swap_outs;
+        engine.flush_memory();
+        assert_eq!(engine.io_counts().reads, 0);
+        assert_eq!(engine.io_counts().writes, 4, "one write per dirty page");
+        assert_eq!(engine.counters().swap_outs - swap_outs, 4);
+        assert_eq!(engine.mapped_pages(), 0);
+        // Ascending write-back costs a seek to 2, two contiguous writes
+        // (3, 4) and a seek to 9; any other order costs more seeks.
+        let timings = DiskTimings::texas();
+        let ascending = 2.0 * timings.random_access_ms() + 2.0 * timings.contiguous_access_ms();
+        assert!(
+            (engine.elapsed_ms() - ascending).abs() < 1e-9,
+            "{} ms, ascending order costs {ascending} ms",
+            engine.elapsed_ms()
+        );
     }
 
     #[test]

@@ -211,6 +211,10 @@ pub const DIRECTION_RULES: &[DirectionRule] = &[
         Direction::LowerWorse,
     ),
     rule(
+        MetricPattern::Contains("_accesses_per_sec"),
+        Direction::LowerWorse,
+    ),
+    rule(
         MetricPattern::Suffix("_overhead_pct"),
         Direction::HigherWorse,
     ),
@@ -505,6 +509,7 @@ mod tests {
             ("trace_recorder_overhead_pct", Direction::HigherWorse),
             ("traced_spans_per_run", Direction::Neutral),
             ("workload_gen_tx_per_sec", Direction::LowerWorse),
+            ("bufmgr_lru_accesses_per_sec", Direction::LowerWorse),
             ("stream_phase_tx_per_sec", Direction::LowerWorse),
             ("stream_slab_peak_slots", Direction::HigherWorse),
             ("users_1m_events_per_sec", Direction::LowerWorse),

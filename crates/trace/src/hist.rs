@@ -190,6 +190,18 @@ impl Histogram {
         self.quantile(0.99)
     }
 
+    /// Records `n` zero observations at once; identical to `n` calls of
+    /// `record(0.0)` in any order.
+    pub(crate) fn record_zeros(&mut self, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.count += n;
+        self.zero += n;
+        self.min = self.min.min(0.0);
+        self.max = self.max.max(0.0);
+    }
+
     /// Merges another histogram into this one (replication merging; the
     /// buckets are aligned by construction).
     pub fn merge(&mut self, other: &Histogram) {
@@ -251,6 +263,21 @@ mod tests {
         assert_eq!(h.p50(), 0.0);
         assert_eq!(h.p90(), 0.0);
         assert!(h.p99() > 45.0 && h.p99() <= 50.0 * GROWTH);
+    }
+
+    #[test]
+    fn record_zeros_equals_repeated_zero_records() {
+        let mut bulk = Histogram::new();
+        let mut single = Histogram::new();
+        for h in [&mut bulk, &mut single] {
+            h.record(2.5);
+            h.record(0.4);
+        }
+        bulk.record_zeros(3);
+        for _ in 0..3 {
+            single.record(0.0);
+        }
+        assert_eq!(format!("{bulk:?}"), format!("{single:?}"));
     }
 
     #[test]

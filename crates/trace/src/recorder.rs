@@ -168,8 +168,20 @@ struct WatchState {
 /// `queue:<name>` series handle.
 #[derive(Clone, Debug)]
 struct ResourceEntry {
+    /// Waits of queued grants.
     wait_hist: Histogram,
+    /// Zero-wait grants, the common case: counted here and folded into
+    /// the histogram on read, so an immediate grant costs one increment.
+    immediate: u64,
     queue_series: u32,
+}
+
+impl ResourceEntry {
+    fn waits(&self) -> Histogram {
+        let mut hist = self.wait_hist.clone();
+        hist.record_zeros(self.immediate);
+        hist
+    }
 }
 
 /// The per-stage histogram names, in report order. Each is a field of
@@ -349,17 +361,17 @@ impl TraceRecorder {
     }
 
     /// Queueing-delay histogram for one resource name.
-    pub fn resource_wait_named(&self, name: &str) -> Option<&Histogram> {
+    pub fn resource_wait_named(&self, name: &str) -> Option<Histogram> {
         self.resource_index
             .get(name)
-            .map(|&i| &self.resources[i as usize].wait_hist)
+            .map(|&i| self.resources[i as usize].waits())
     }
 
     /// All resource wait histograms, sorted by name.
-    pub fn resource_waits_sorted(&self) -> Vec<(&str, &Histogram)> {
+    pub fn resource_waits_sorted(&self) -> Vec<(&str, Histogram)> {
         self.resource_index
             .iter()
-            .map(|(name, &i)| (name.as_str(), &self.resources[i as usize].wait_hist))
+            .map(|(name, &i)| (name.as_str(), self.resources[i as usize].waits()))
             .collect()
     }
 
@@ -638,6 +650,7 @@ impl Probe for TraceRecorder {
         let i = self.resources.len() as u32;
         self.resources.push(ResourceEntry {
             wait_hist: Histogram::new(),
+            immediate: 0,
             queue_series,
         });
         self.resource_index.insert(name.to_owned(), i);
@@ -675,7 +688,11 @@ impl Probe for TraceRecorder {
         let Some(entry) = self.resources.get_mut(resource.0 as usize) else {
             return;
         };
-        entry.wait_hist.record(waited_ms);
+        if waited_ms == 0.0 {
+            entry.immediate += 1;
+        } else {
+            entry.wait_hist.record(waited_ms);
+        }
     }
 
     #[inline]
@@ -885,7 +902,8 @@ mod tests {
         r.on_resource_grant(disk, 5.0, 3.0);
         r.on_sample(hit, 10.0, 0.75);
         r.on_sample(hit, 20.0, 0.85);
-        assert_eq!(r.resource_wait_named("disk-0").unwrap().count(), 2);
+        let waits = r.resource_wait_named("disk-0").unwrap();
+        assert_eq!((waits.count(), waits.min(), waits.max()), (2, 0.0, 3.0));
         assert_eq!(r.series_named("queue:disk-0").unwrap().samples().len(), 1);
         assert_eq!(r.series_named("hit_ratio").unwrap().current(), 0.85);
         // Interning is idempotent.

@@ -28,7 +28,7 @@ pub struct TimeSeries {
     stride: u64,
     /// Offers to skip before the next retained sample (0 ⇒ retain the
     /// next offer) — a countdown instead of a `offered % stride` on
-    /// the hot path; the modulo runs only on the (rare) keep path.
+    /// the hot path.
     until_keep: u64,
     offered: u64,
     weighted: TimeWeighted,
@@ -87,9 +87,10 @@ impl TimeSeries {
         }
         self.samples.push((now, value));
         // Next keeper is the next multiple of the (possibly doubled)
-        // stride after the index just kept.
+        // stride after the index just kept. The stride is a power of two
+        // (it starts at 1 and only doubles), so the remainder is a mask.
         let kept = self.offered - 1;
-        self.until_keep = self.stride - 1 - kept % self.stride;
+        self.until_keep = self.stride - 1 - (kept & (self.stride - 1));
     }
 
     /// The retained samples, in time order.

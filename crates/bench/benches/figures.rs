@@ -1,17 +1,18 @@
 //! Figure benches: scaled-down single replications of the paper's figure
 //! experiments, measuring how long one bench-vs-sim comparison takes.
 //!
-//! The full sweeps live in the `fig*` binaries; these criterion targets
-//! keep one representative point of each figure under continuous timing
-//! so regressions in the engines or the simulator show up in `cargo
-//! bench`.
+//! The full sweeps are `repro_all`'s; these criterion targets keep one
+//! representative point of each figure under continuous timing so
+//! regressions in the engines or the simulator show up in `cargo bench`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use desp::{NoProbe, SchedulerKind};
 use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
 use std::hint::black_box;
-use voodb_bench::{o2_bench_ios, o2_sim_ios, texas_bench_ios, texas_sim_ios};
+use voodb::run_replication;
+use voodb_bench::{bench_ios, Preset};
 
-fn small_setup() -> (ObjectBase, WorkloadParams) {
+fn bench_point(c: &mut Criterion, group: &str, preset: Preset, mb: usize, suffix: &str) {
     let db = DatabaseParams {
         classes: 20,
         objects: 2_000,
@@ -21,34 +22,31 @@ fn small_setup() -> (ObjectBase, WorkloadParams) {
         hot_transactions: 100,
         ..WorkloadParams::default()
     };
-    (ObjectBase::generate(&db, 42), workload)
+    let base = ObjectBase::generate(&db, 42);
+    let config = preset.config(&db, &workload, mb);
+    let mut group = c.benchmark_group(group);
+    group.sample_size(10);
+    group.bench_function(format!("bench_engine{suffix}"), |b| {
+        b.iter(|| black_box(bench_ios(preset, &base, &workload, mb, black_box(7))))
+    });
+    group.bench_function(format!("voodb_sim{suffix}"), |b| {
+        b.iter(|| {
+            let seed = black_box(7);
+            let (result, _) =
+                run_replication(&base, &config, seed, NoProbe, SchedulerKind::default());
+            black_box(result.total_ios())
+        })
+    });
+    group.finish();
 }
 
 fn bench_o2_point(c: &mut Criterion) {
-    let (base, workload) = small_setup();
-    let mut group = c.benchmark_group("fig6_point_2k_objects");
-    group.sample_size(10);
-    group.bench_function("bench_engine", |b| {
-        b.iter(|| black_box(o2_bench_ios(&base, &workload, 2, black_box(7))))
-    });
-    group.bench_function("voodb_sim", |b| {
-        b.iter(|| black_box(o2_sim_ios(&base, &workload, 2, black_box(7))))
-    });
-    group.finish();
+    bench_point(c, "fig6_point_2k_objects", Preset::O2, 2, "");
 }
 
 fn bench_texas_point(c: &mut Criterion) {
-    let (base, workload) = small_setup();
-    let mut group = c.benchmark_group("fig11_point_2k_objects");
-    group.sample_size(10);
     // 1 MB of memory → pressure regime, the expensive end of Fig. 11.
-    group.bench_function("bench_engine_pressure", |b| {
-        b.iter(|| black_box(texas_bench_ios(&base, &workload, 1, black_box(7))))
-    });
-    group.bench_function("voodb_sim_pressure", |b| {
-        b.iter(|| black_box(texas_sim_ios(&base, &workload, 1, black_box(7))))
-    });
-    group.finish();
+    bench_point(c, "fig11_point_2k_objects", Preset::Texas, 1, "_pressure");
 }
 
 criterion_group!(benches, bench_o2_point, bench_texas_point);

@@ -5,9 +5,9 @@ use clustering::DstcParams;
 use criterion::{criterion_group, criterion_main, Criterion};
 use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
 use std::hint::black_box;
-use voodb_bench::{dstc_bench_once, dstc_sim_once};
+use voodb_bench::{dstc_bench_once, dstc_sim_once, study_dstc_params, texas_dstc_config};
 
-fn setup() -> (ObjectBase, WorkloadParams, DstcParams) {
+fn bench_dstc_protocol(c: &mut Criterion) {
     let db = DatabaseParams {
         objects: 2_000,
         ..DatabaseParams::default()
@@ -16,20 +16,13 @@ fn setup() -> (ObjectBase, WorkloadParams, DstcParams) {
         hot_transactions: 200,
         ..WorkloadParams::dstc_favorable()
     };
+    // The study tuning, observing over a period scaled to the smaller run.
     let dstc = DstcParams {
         observation_period: 5_000,
-        tfa: 1.0,
-        tfc: 0.5,
-        tfe: 1.0,
-        w: 0.8,
-        max_unit_size: 64,
-        trigger_threshold: usize::MAX,
+        ..study_dstc_params()
     };
-    (ObjectBase::generate(&db, 42), workload, dstc)
-}
-
-fn bench_dstc_protocol(c: &mut Criterion) {
-    let (base, workload, dstc) = setup();
+    let base = ObjectBase::generate(&db, 42);
+    let config = texas_dstc_config(&db, &workload, 64, dstc.clone());
     let mut group = c.benchmark_group("tab6_protocol_2k_objects");
     group.sample_size(10);
     group.bench_function("texas_engine_with_patch_scan", |b| {
@@ -44,15 +37,7 @@ fn bench_dstc_protocol(c: &mut Criterion) {
         })
     });
     group.bench_function("voodb_sim_logical_oids", |b| {
-        b.iter(|| {
-            black_box(dstc_sim_once(
-                &base,
-                &workload,
-                64,
-                dstc.clone(),
-                black_box(7),
-            ))
-        })
+        b.iter(|| black_box(dstc_sim_once(&base, &config, black_box(7))))
     });
     group.finish();
 }

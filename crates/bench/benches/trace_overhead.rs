@@ -24,9 +24,9 @@ use desp::{
     Context, CountingProbe, Engine, HeapKind, Model, NoProbe, Probe, QueueKind, Resource,
     SchedulerKind, SpanPoint,
 };
-use ocb::{DatabaseParams, WorkloadParams};
+use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
 use std::hint::black_box;
-use voodb::{run_once_probed, run_once_sched, ExperimentConfig, VoodbParams};
+use voodb::{run_replication, ExperimentConfig, VoodbParams};
 use vtrace::RecorderConfig;
 
 /// A tandem queue exercising every hook kind: arrivals contend for a
@@ -147,12 +147,20 @@ fn bench_model_throughput(c: &mut Criterion) {
         b.iter(|| black_box(voodb::run_once(&config, black_box(42)).events))
     });
     group.bench_function("voodb_smoke_noop_heap_sched", |b| {
-        b.iter(|| black_box(run_once_sched(&config, black_box(42), SchedulerKind::Heap).events))
+        b.iter(|| {
+            let seed = black_box(42);
+            let base = ObjectBase::generate(&config.database, seed);
+            let (result, _) = run_replication(&base, &config, seed, NoProbe, SchedulerKind::Heap);
+            black_box(result.events)
+        })
     });
     group.bench_function("voodb_smoke_recorder", |b| {
         b.iter(|| {
+            let seed = black_box(42);
+            let base = ObjectBase::generate(&config.database, seed);
+            let probe = RecorderConfig::new().build();
             let (result, recorder) =
-                run_once_probed(&config, black_box(42), RecorderConfig::new().build());
+                run_replication(&base, &config, seed, probe, SchedulerKind::default());
             black_box((result.events, recorder.spans().len()))
         })
     });

@@ -107,7 +107,7 @@ impl Args {
     /// # let args = voodb_bench::Args::parse(["--help".to_string()]);
     /// if args.help_requested() {
     ///     return voodb_bench::Args::print_help(
-    ///         "fig08_o2_cache",
+    ///         "policy_sweep",
     ///         &[("reps", "replications (default 10)")],
     ///     );
     /// }

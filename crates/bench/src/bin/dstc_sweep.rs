@@ -5,8 +5,9 @@
 //! right value for DSTC's parameters in various conditions." This sweep
 //! runs the Table 6 protocol through the simulator across the tunable
 //! axes (elementary threshold `Tfa`, extraction threshold `Tfe`, ageing
-//! `w`, maximum unit size) and reports gain, overhead and cluster shape
-//! for each setting.
+//! `w`, maximum unit size, observation period), one at a time from the
+//! study tuning of Tables 6–8, and reports gain, overhead and cluster
+//! shape for each setting.
 //!
 //! ```text
 //! cargo run --release -p voodb-bench --bin dstc_sweep -- \
@@ -15,19 +16,9 @@
 
 use clustering::DstcParams;
 use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
-use voodb_bench::{dstc_mean, dstc_sim_once, Args, COMMON_KEYS};
-
-fn base_params() -> DstcParams {
-    DstcParams {
-        observation_period: 10_000,
-        tfa: 1.0,
-        tfc: 0.5,
-        tfe: 1.0,
-        w: 0.8,
-        max_unit_size: 64,
-        trigger_threshold: usize::MAX,
-    }
-}
+use voodb_bench::{
+    dstc_mean, dstc_sim_once, study_dstc_params, texas_dstc_config, Args, COMMON_KEYS,
+};
 
 fn main() {
     let args = Args::from_env();
@@ -58,9 +49,8 @@ fn main() {
     );
 
     let row = |label: String, dstc: DstcParams| {
-        let side = dstc_mean(reps, seed + 1, |s| {
-            dstc_sim_once(&base, &workload, 64, dstc.clone(), s)
-        });
+        let config = texas_dstc_config(&db, &workload, 64, dstc);
+        let side = dstc_mean(reps, seed + 1, |s| dstc_sim_once(&base, &config, s));
         println!(
             "{:<26} {:>8.2} {:>10.1} {:>10.1} {:>9.1} {:>10.2}",
             label,
@@ -72,13 +62,13 @@ fn main() {
         );
     };
 
-    row("baseline".into(), base_params());
+    row("baseline".into(), study_dstc_params());
     for tfa in [2.0, 4.0] {
         row(
             format!("tfa={tfa}"),
             DstcParams {
                 tfa,
-                ..base_params()
+                ..study_dstc_params()
             },
         );
     }
@@ -87,19 +77,25 @@ fn main() {
             format!("tfe={tfe}"),
             DstcParams {
                 tfe,
-                ..base_params()
+                ..study_dstc_params()
             },
         );
     }
     for w in [0.2, 0.5, 1.0] {
-        row(format!("w={w}"), DstcParams { w, ..base_params() });
+        row(
+            format!("w={w}"),
+            DstcParams {
+                w,
+                ..study_dstc_params()
+            },
+        );
     }
     for unit in [8, 16, 128] {
         row(
             format!("max_unit={unit}"),
             DstcParams {
                 max_unit_size: unit,
-                ..base_params()
+                ..study_dstc_params()
             },
         );
     }
@@ -108,7 +104,7 @@ fn main() {
             format!("obs_period={period}"),
             DstcParams {
                 observation_period: period,
-                ..base_params()
+                ..study_dstc_params()
             },
         );
     }

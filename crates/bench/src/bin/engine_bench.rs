@@ -30,9 +30,7 @@ use ocb::{
 use oostore::O2_FRAMES_PER_MB;
 use std::path::PathBuf;
 use std::time::Instant;
-use voodb::{
-    run_once_probed, run_once_sched, ExperimentConfig, PhaseMode, Simulation, VoodbParams,
-};
+use voodb::{run_once, run_replication, ExperimentConfig, PhaseMode, Simulation, VoodbParams};
 use voodb_bench::{Args, MEMORY_SWEEP_MB};
 use vtrace::{Json, RecorderConfig};
 
@@ -133,7 +131,9 @@ fn main() {
     });
     let config = config(hot);
     let noop_heap = best_events_per_sec(reps, || {
-        run_once_sched(&config, seed, SchedulerKind::Heap).events
+        let base = ObjectBase::generate(&config.database, seed);
+        let (result, _) = run_replication(&base, &config, seed, desp::NoProbe, SchedulerKind::Heap);
+        result.events
     });
     // Interleave the noop and traced reps round-robin so both variants
     // sample the same machine conditions: timing them in separate
@@ -155,9 +155,7 @@ fn main() {
     let mut ratios = Vec::with_capacity(reps.max(1));
     let noop_batch = || {
         best_events_per_sec(1, || {
-            (0..BATCH)
-                .map(|_| run_once_sched(&config, seed, SchedulerKind::Calendar).events)
-                .sum()
+            (0..BATCH).map(|_| run_once(&config, seed).events).sum()
         })
     };
     for _ in 0..reps.max(1) {
@@ -166,8 +164,10 @@ fn main() {
             best_events_per_sec(1, || {
                 (0..BATCH)
                     .map(|_| {
+                        let base = ObjectBase::generate(&config.database, seed);
+                        let probe = RecorderConfig::new().build();
                         let (result, recorder) =
-                            run_once_probed(&config, seed, RecorderConfig::new().build());
+                            run_replication(&base, &config, seed, probe, SchedulerKind::Calendar);
                         spans = recorder.spans().len();
                         result.events
                     })

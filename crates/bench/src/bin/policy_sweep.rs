@@ -12,9 +12,9 @@
 //! ```
 
 use bufmgr::PolicyKind;
-use desp::ConfidenceInterval;
-use ocb::{DatabaseParams, WorkloadParams};
-use voodb::{run_once_probed, ExperimentConfig, SystemClass, VoodbParams};
+use desp::{ConfidenceInterval, SchedulerKind};
+use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
+use voodb::{run_replication, ExperimentConfig, SystemClass, VoodbParams};
 use voodb_bench::{replicate_map, Args, COMMON_KEYS};
 use vtrace::{Histogram, RecorderConfig};
 
@@ -59,7 +59,10 @@ fn main() {
         // One traced run per replication yields the scalar columns and
         // the latency histogram together.
         let samples: Vec<(f64, f64, Histogram)> = replicate_map(reps, seed, |s| {
-            let (result, mut recorder) = run_once_probed(&config, s, RecorderConfig::new().build());
+            let base = ObjectBase::generate(&config.database, s);
+            let probe = RecorderConfig::new().build();
+            let (result, mut recorder) =
+                run_replication(&base, &config, s, probe, SchedulerKind::default());
             recorder.flush();
             let hist = recorder
                 .stage_histograms()

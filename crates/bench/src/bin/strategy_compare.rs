@@ -12,66 +12,10 @@
 //!     [--reps 5] [--seed 42] [--objects 5000]
 //! ```
 
-use clustering::{ClusteringKind, DstcParams};
-use desp::Welford;
+use clustering::ClusteringKind;
 use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
-use voodb::{Simulation, VoodbParams};
-use voodb_bench::{generate_workload, replicate_map, Args, COMMON_KEYS};
-
-/// One strategy's outcome in one memory regime.
-#[derive(Clone, Copy, Debug, Default)]
-struct Row {
-    pre: f64,
-    overhead: f64,
-    post: f64,
-}
-
-impl Row {
-    fn gain(&self) -> f64 {
-        if self.post == 0.0 {
-            f64::INFINITY
-        } else {
-            self.pre / self.post
-        }
-    }
-}
-
-fn run_strategy(
-    base: &ObjectBase,
-    workload: &WorkloadParams,
-    kind: &ClusteringKind,
-    buffer_pages: usize,
-    reps: usize,
-    seed: u64,
-) -> Row {
-    let rows: Vec<Row> = replicate_map(reps, seed, |s| {
-        let (transactions, cold) = generate_workload(base, workload, s);
-        let mut system = VoodbParams::texas(64);
-        system.buffer_pages = buffer_pages;
-        system.clustering = kind.clone();
-        let mut simulation = Simulation::new(base, system, workload.think_time_ms, s);
-        let pre = simulation.run_phase(transactions.clone(), cold);
-        let reorg = simulation.external_reorganize();
-        simulation.flush_buffers();
-        let post = simulation.run_phase(transactions, cold);
-        Row {
-            pre: pre.total_ios() as f64,
-            overhead: reorg.io.total() as f64,
-            post: post.total_ios() as f64,
-        }
-    });
-    let mut acc = [Welford::new(), Welford::new(), Welford::new()];
-    for row in &rows {
-        acc[0].add(row.pre);
-        acc[1].add(row.overhead);
-        acc[2].add(row.post);
-    }
-    Row {
-        pre: acc[0].mean(),
-        overhead: acc[1].mean(),
-        post: acc[2].mean(),
-    }
-}
+use voodb::{ExperimentConfig, VoodbParams};
+use voodb_bench::{dstc_mean, dstc_sim_once, study_dstc_params, Args, COMMON_KEYS};
 
 fn main() {
     let args = Args::from_env();
@@ -95,18 +39,7 @@ fn main() {
 
     let strategies: [(&str, ClusteringKind); 3] = [
         ("None", ClusteringKind::None),
-        (
-            "DSTC",
-            ClusteringKind::Dstc(DstcParams {
-                observation_period: 10_000,
-                tfa: 1.0,
-                tfc: 0.5,
-                tfe: 1.0,
-                w: 0.8,
-                max_unit_size: 64,
-                trigger_threshold: usize::MAX,
-            }),
-        ),
+        ("DSTC", ClusteringKind::Dstc(study_dstc_params())),
         (
             "StaticGraph",
             ClusteringKind::StaticGraph {
@@ -133,14 +66,23 @@ fn main() {
             "strategy", "pre I/Os", "overhead", "post I/Os", "gain"
         );
         for (name, kind) in &strategies {
-            let row = run_strategy(&base, &workload, kind, buffer_pages, reps, seed + 1);
+            let config = ExperimentConfig {
+                system: VoodbParams {
+                    buffer_pages,
+                    clustering: kind.clone(),
+                    ..VoodbParams::texas(64)
+                },
+                database: db.clone(),
+                workload: workload.clone(),
+            };
+            let side = dstc_mean(reps, seed + 1, |s| dstc_sim_once(&base, &config, s));
             println!(
                 "{:<14} {:>10.1} {:>10.1} {:>10.1} {:>8.2}",
                 name,
-                row.pre,
-                row.overhead,
-                row.post,
-                row.gain()
+                side.pre,
+                side.overhead,
+                side.post,
+                side.gain()
             );
         }
     }

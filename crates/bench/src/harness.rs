@@ -4,8 +4,11 @@
 //! under the *same* OCB workload:
 //!
 //! * **Bench** — the real mini-engine (`oostore`): O2-like page server or
-//!   Texas-like store, counting actual virtual-disk I/Os;
-//! * **Sim** — the VOODB model (`voodb`) parameterised per Table 4.
+//!   Texas-like store, counting actual virtual-disk I/Os. This module
+//!   drives it;
+//! * **Sim** — the VOODB model (`voodb`) parameterised per Table 4, run
+//!   through core's single replication body ([`run_replication`]) or its
+//!   single DSTC protocol body ([`run_dstc_study`]).
 //!
 //! Methodology notes, mirroring §4 of the paper:
 //!
@@ -15,23 +18,20 @@
 //!   not schema-generation noise;
 //! * one replication runs both sides on the **identical transaction
 //!   stream** ("the objective here was to use the same workload model in
-//!   both sets of experiments", §4.1);
+//!   both sets of experiments", §4.1): both derive it from the
+//!   replication seed and [`WORKLOAD_SEED_SALT`];
 //! * intervals are 95% Student-t over replications (§4.2.2), computed by
 //!   `desp`'s output-analysis machinery;
 //! * replications are distributed over scoped std threads.
 
-use desp::{ConfidenceInterval, Welford};
+use clustering::{ClusteringKind, DstcParams};
+use desp::{ConfidenceInterval, NoProbe, SchedulerKind, Welford};
 use ocb::{DatabaseParams, ObjectBase, Transaction, WorkloadGenerator, WorkloadParams};
 use oostore::{
     run_workload, PageServerConfig, PageServerEngine, StorageEngine, TexasConfig, TexasEngine,
 };
-use voodb::{Simulation, VoodbParams};
-
-/// Salt decorrelating workload seeds from database seeds.
-pub const WORKLOAD_SEED_SALT: u64 = 0x0C0B_57A7_15EC_5EED;
-
-/// Confidence level used throughout (the paper's c = 0.95).
-pub const CONFIDENCE: f64 = 0.95;
+use scenario::CONFIDENCE;
+use voodb::{run_dstc_study, run_replication, ExperimentConfig, VoodbParams, WORKLOAD_SEED_SALT};
 
 /// One measured quantity with its confidence interval.
 #[derive(Clone, Copy, Debug)]
@@ -56,17 +56,9 @@ impl Estimate {
     }
 }
 
-/// Runs `reps` replications of `f(seed)` across threads, returning the
-/// samples in seed order (deterministic output regardless of scheduling).
-pub fn replicate<F>(reps: usize, base_seed: u64, f: F) -> Vec<f64>
-where
-    F: Fn(u64) -> f64 + Sync,
-{
-    replicate_map(reps, base_seed, f)
-}
-
-/// Generic parallel replication helper returning arbitrary per-replication
-/// values in seed order.
+/// Runs `reps` replications of `f(seed)` for seeds `base_seed..` across
+/// threads, returning the values in seed order (deterministic output
+/// regardless of scheduling).
 pub fn replicate_map<T, F>(reps: usize, base_seed: u64, f: F) -> Vec<T>
 where
     T: Send + Default,
@@ -98,7 +90,8 @@ where
         .collect()
 }
 
-/// Generates the workload run for one replication seed over a shared base.
+/// Generates the workload run for one replication seed over a shared base
+/// (the stream [`run_replication`] feeds the Sim column).
 pub fn generate_workload(
     base: &ObjectBase,
     wl: &WorkloadParams,
@@ -135,77 +128,47 @@ impl Preset {
         }
     }
 
-    /// The VOODB parameterisation of this preset, sized by `mb` (the
-    /// Simulation column's system).
+    /// The VOODB parameterisation of this preset, sized by `mb`.
     pub fn params(self, mb: usize) -> VoodbParams {
         match self {
             Preset::O2 => VoodbParams::o2(mb),
             Preset::Texas => VoodbParams::texas(mb),
         }
     }
+
+    /// The Simulation column's experiment: this preset sized by `mb`,
+    /// over the base `db` describes, under `wl`.
+    pub fn config(self, db: &DatabaseParams, wl: &WorkloadParams, mb: usize) -> ExperimentConfig {
+        ExperimentConfig {
+            system: self.params(mb),
+            database: db.clone(),
+            workload: wl.clone(),
+        }
+    }
 }
 
-/// Which column of the paper's comparison a run measures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Side {
-    /// The real mini-engine (`oostore`), counting virtual-disk I/Os.
-    Bench,
-    /// The VOODB model (`voodb`), counting simulated I/Os.
-    Sim,
-}
-
-/// One replication of either column of either preset: generate the
-/// stream, run the cold transactions, measure the warm run, return its
-/// total I/Os. The single runner behind the four `*_ios` helpers.
-pub fn preset_ios(
+/// One replication of the Benchmark column: generate the stream, run
+/// the cold transactions on `preset`'s engine sized by `mb`, measure the
+/// warm run, return its total I/Os.
+pub fn bench_ios(
     preset: Preset,
-    side: Side,
     base: &ObjectBase,
     wl: &WorkloadParams,
     mb: usize,
     seed: u64,
 ) -> f64 {
     let (transactions, cold_count) = generate_workload(base, wl, seed);
-    match side {
-        Side::Bench => {
-            let mut engine = preset.engine(base, mb);
-            run_workload(engine.as_mut(), &transactions[..cold_count]);
-            engine.reset_counters();
-            let report = run_workload(engine.as_mut(), &transactions[cold_count..]);
-            report.total_ios() as f64
-        }
-        Side::Sim => {
-            let mut simulation = Simulation::new(base, preset.params(mb), wl.think_time_ms, seed);
-            let result = simulation.run_phase(transactions, cold_count);
-            result.total_ios() as f64
-        }
-    }
-}
-
-/// One replication of the O2 *benchmark* column: total I/Os of the warm
-/// run on the page-server engine.
-pub fn o2_bench_ios(base: &ObjectBase, wl: &WorkloadParams, cache_mb: usize, seed: u64) -> f64 {
-    preset_ios(Preset::O2, Side::Bench, base, wl, cache_mb, seed)
-}
-
-/// One replication of the O2 *simulation* column (VOODB, Table 4 preset).
-pub fn o2_sim_ios(base: &ObjectBase, wl: &WorkloadParams, cache_mb: usize, seed: u64) -> f64 {
-    preset_ios(Preset::O2, Side::Sim, base, wl, cache_mb, seed)
-}
-
-/// One replication of the Texas *benchmark* column.
-pub fn texas_bench_ios(base: &ObjectBase, wl: &WorkloadParams, memory_mb: usize, seed: u64) -> f64 {
-    preset_ios(Preset::Texas, Side::Bench, base, wl, memory_mb, seed)
-}
-
-/// One replication of the Texas *simulation* column (VOODB, Table 4
-/// preset, VM-reservation module on).
-pub fn texas_sim_ios(base: &ObjectBase, wl: &WorkloadParams, memory_mb: usize, seed: u64) -> f64 {
-    preset_ios(Preset::Texas, Side::Sim, base, wl, memory_mb, seed)
+    let mut engine = preset.engine(base, mb);
+    run_workload(engine.as_mut(), &transactions[..cold_count]);
+    engine.reset_counters();
+    let report = run_workload(engine.as_mut(), &transactions[cold_count..]);
+    report.total_ios() as f64
 }
 
 /// Measures one bench-vs-sim sweep point of `preset` at knob value `mb`
-/// (the shape every figure binary sweeps).
+/// (the shape every figure sweeps): builds the object base once from
+/// `db` + `base_seed`, then runs `reps` replications of each column over
+/// it, seeded `base_seed + 1..`.
 pub fn measure_preset_point(
     preset: Preset,
     x: f64,
@@ -215,14 +178,20 @@ pub fn measure_preset_point(
     reps: usize,
     base_seed: u64,
 ) -> Point {
-    measure_point(
+    let base = ObjectBase::generate(db, base_seed);
+    let config = preset.config(db, wl, mb);
+    let bench = replicate_map(reps, base_seed + 1, |seed| {
+        bench_ios(preset, &base, wl, mb, seed)
+    });
+    let sim = replicate_map(reps, base_seed + 1, |seed| {
+        let (result, _) = run_replication(&base, &config, seed, NoProbe, SchedulerKind::default());
+        result.total_ios() as f64
+    });
+    Point {
         x,
-        db,
-        reps,
-        base_seed,
-        |base, seed| preset_ios(preset, Side::Bench, base, wl, mb, seed),
-        |base, seed| preset_ios(preset, Side::Sim, base, wl, mb, seed),
-    )
+        bench: Estimate::from_samples(&bench),
+        sim: Estimate::from_samples(&sim),
+    }
 }
 
 /// A bench-vs-sim point of a sweep.
@@ -247,28 +216,33 @@ impl Point {
     }
 }
 
-/// Measures one sweep point: builds the object base once from
-/// `db`+`base_seed`, then runs `reps` replications of each side over it.
-pub fn measure_point<B, S>(
-    x: f64,
-    db: &DatabaseParams,
-    reps: usize,
-    base_seed: u64,
-    bench: B,
-    sim: S,
-) -> Point
-where
-    B: Fn(&ObjectBase, u64) -> f64 + Sync,
-    S: Fn(&ObjectBase, u64) -> f64 + Sync,
-{
-    let base = ObjectBase::generate(db, base_seed);
-    let bench_samples = replicate(reps, base_seed + 1, |seed| bench(&base, seed));
-    let sim_samples = replicate(reps, base_seed + 1, |seed| sim(&base, seed));
-    Point {
-        x,
-        bench: Estimate::from_samples(&bench_samples),
-        sim: Estimate::from_samples(&sim_samples),
+/// The DSTC tuning of the §4.4 study: Tables 6–8, the parameter sweep
+/// (`dstc_sweep`, which varies one knob at a time from here) and the
+/// strategy comparison. Reorganisation happens on external demand only,
+/// as in the engine protocol.
+pub fn study_dstc_params() -> DstcParams {
+    DstcParams {
+        observation_period: 10_000,
+        tfa: 1.0,
+        tfc: 0.5,
+        tfe: 1.0,
+        w: 0.8,
+        max_unit_size: 64,
+        trigger_threshold: usize::MAX,
     }
+}
+
+/// The Simulation column of the §4.4 study: the Texas preset at
+/// `memory_mb` clustering with DSTC tuned by `dstc`.
+pub fn texas_dstc_config(
+    db: &DatabaseParams,
+    wl: &WorkloadParams,
+    memory_mb: usize,
+    dstc: DstcParams,
+) -> ExperimentConfig {
+    let mut config = Preset::Texas.config(db, wl, memory_mb);
+    config.system.clustering = ClusteringKind::Dstc(dstc);
+    config
 }
 
 /// The four-row DSTC comparison of Tables 6/8 for one side
@@ -304,12 +278,12 @@ pub fn dstc_bench_once(
     base: &ObjectBase,
     wl: &WorkloadParams,
     memory_mb: usize,
-    dstc: clustering::DstcParams,
+    dstc: DstcParams,
     seed: u64,
 ) -> DstcSide {
     let (transactions, cold_count) = generate_workload(base, wl, seed);
     let mut config = TexasConfig::with_memory_mb(memory_mb);
-    config.clustering = clustering::ClusteringKind::Dstc(dstc);
+    config.clustering = ClusteringKind::Dstc(dstc);
     let mut engine = TexasEngine::new(base, config);
     run_workload(&mut engine, &transactions[..cold_count]);
     engine.reset_counters();
@@ -328,32 +302,16 @@ pub fn dstc_bench_once(
     }
 }
 
-/// One replication of the §4.4 protocol on the VOODB *simulation*.
-pub fn dstc_sim_once(
-    base: &ObjectBase,
-    wl: &WorkloadParams,
-    memory_mb: usize,
-    dstc: clustering::DstcParams,
-    seed: u64,
-) -> DstcSide {
-    let (transactions, cold_count) = generate_workload(base, wl, seed);
-    let mut system = VoodbParams::texas(memory_mb);
-    system.clustering = clustering::ClusteringKind::Dstc(clustering::DstcParams {
-        // External demand only, as in the engine protocol.
-        trigger_threshold: usize::MAX,
-        ..dstc
-    });
-    let mut simulation = Simulation::new(base, system, wl.think_time_ms, seed);
-    let pre = simulation.run_phase(transactions.clone(), cold_count);
-    let reorg = simulation.external_reorganize();
-    simulation.flush_buffers();
-    let post = simulation.run_phase(transactions, cold_count);
+/// One replication of the §4.4 protocol on the VOODB *simulation*
+/// ([`run_dstc_study`]).
+pub fn dstc_sim_once(base: &ObjectBase, config: &ExperimentConfig, seed: u64) -> DstcSide {
+    let study = run_dstc_study(base, config, seed);
     DstcSide {
-        pre: pre.total_ios() as f64,
-        overhead: reorg.io.total() as f64,
-        post: post.total_ios() as f64,
-        clusters: reorg.cluster_count as f64,
-        objects_per_cluster: reorg.mean_cluster_size,
+        pre: study.pre.total_ios() as f64,
+        overhead: study.reorg.io.total() as f64,
+        post: study.post.total_ios() as f64,
+        clusters: study.reorg.cluster_count as f64,
+        objects_per_cluster: study.reorg.mean_cluster_size,
     }
 }
 
@@ -387,44 +345,46 @@ where
     }
 }
 
-/// One traced replication of a preset's *simulation* column: the
-/// response-time histogram of the warm run (cold transactions excluded
-/// from neither — the trace covers the whole phase, like the recorder).
-pub fn preset_latency_once(
-    preset: Preset,
+/// Both columns of the §4.4 study on the Texas preset at `memory_mb`,
+/// each averaged over `reps` replications seeded `base_seed..`:
+/// `(bench, sim)`.
+pub fn measure_dstc(
     base: &ObjectBase,
+    db: &DatabaseParams,
     wl: &WorkloadParams,
-    mb: usize,
-    seed: u64,
-) -> vtrace::Histogram {
-    let (transactions, cold_count) = generate_workload(base, wl, seed);
-    let mut simulation = Simulation::new(base, preset.params(mb), wl.think_time_ms, seed);
-    let (_, mut recorder) = simulation.run_phase_probed(
-        transactions,
-        cold_count,
-        vtrace::RecorderConfig::new().build(),
-    );
-    recorder.flush();
-    recorder
-        .stage_histograms()
-        .get("response_ms")
-        .cloned()
-        .unwrap_or_default()
+    memory_mb: usize,
+    dstc: &DstcParams,
+    reps: usize,
+    base_seed: u64,
+) -> (DstcSide, DstcSide) {
+    let config = texas_dstc_config(db, wl, memory_mb, dstc.clone());
+    let bench = dstc_mean(reps, base_seed, |seed| {
+        dstc_bench_once(base, wl, memory_mb, dstc.clone(), seed)
+    });
+    let sim = dstc_mean(reps, base_seed, |seed| dstc_sim_once(base, &config, seed));
+    (bench, sim)
 }
 
-/// Merged response-time histogram over `reps` traced replications
-/// (parallel, deterministic in seed order — histograms merge
-/// commutatively but we merge in index order anyway).
-pub fn preset_latency(
-    preset: Preset,
+/// Merged response-time histogram of the Simulation column over `reps`
+/// traced replications seeded `base_seed..` (the trace covers the whole
+/// phase, cold transactions included). Replications run in parallel and
+/// merge in seed order.
+pub fn sim_latency(
     base: &ObjectBase,
-    wl: &WorkloadParams,
-    mb: usize,
+    config: &ExperimentConfig,
     reps: usize,
     base_seed: u64,
 ) -> vtrace::Histogram {
     let hists = replicate_map(reps, base_seed, |seed| {
-        preset_latency_once(preset, base, wl, mb, seed)
+        let probe = vtrace::RecorderConfig::new().build();
+        let (_, mut recorder) =
+            run_replication(base, config, seed, probe, SchedulerKind::default());
+        recorder.flush();
+        recorder
+            .stage_histograms()
+            .get("response_ms")
+            .cloned()
+            .unwrap_or_default()
     });
     let mut merged = vtrace::Histogram::new();
     for hist in &hists {
@@ -454,35 +414,48 @@ mod tests {
         }
     }
 
+    /// Total I/Os of one Simulation-column replication.
+    fn sim_ios(base: &ObjectBase, config: &ExperimentConfig, seed: u64) -> f64 {
+        let (result, _) = run_replication(base, config, seed, NoProbe, SchedulerKind::default());
+        result.total_ios() as f64
+    }
+
+    /// Both columns of `preset` at `mb` over the tiny base.
+    fn columns(preset: Preset, mb: usize, seed: u64) -> (f64, f64) {
+        let base = tiny_base();
+        let wl = tiny_wl();
+        let config = preset.config(&DatabaseParams::small(), &wl, mb);
+        (
+            bench_ios(preset, &base, &wl, mb, seed),
+            sim_ios(&base, &config, seed),
+        )
+    }
+
     #[test]
     fn replicate_is_deterministic_and_ordered() {
-        let samples = replicate(8, 100, |seed| seed as f64);
+        let samples = replicate_map(8, 100, |seed| seed as f64);
         assert_eq!(samples, (100..108).map(|s| s as f64).collect::<Vec<_>>());
     }
 
     #[test]
-    fn generic_runner_matches_wrappers() {
-        let base = tiny_base();
+    fn preset_point_seeds_the_base_and_each_replication() {
+        // One replication: the base comes from `base_seed`, both columns
+        // from replication seed `base_seed + 1`.
+        let db = DatabaseParams::small();
         let wl = tiny_wl();
+        let point = measure_preset_point(Preset::Texas, 1.0, &db, &wl, 2, 1, 9);
+        let base = ObjectBase::generate(&db, 9);
+        let config = Preset::Texas.config(&db, &wl, 2);
         assert_eq!(
-            preset_ios(Preset::O2, Side::Bench, &base, &wl, 2, 5),
-            o2_bench_ios(&base, &wl, 2, 5)
+            point.bench.mean,
+            bench_ios(Preset::Texas, &base, &wl, 2, 10)
         );
-        assert_eq!(
-            preset_ios(Preset::Texas, Side::Sim, &base, &wl, 2, 5),
-            texas_sim_ios(&base, &wl, 2, 5)
-        );
-        let point = measure_preset_point(Preset::O2, 500.0, &DatabaseParams::small(), &wl, 1, 3, 9);
-        assert_eq!(point.bench.n, 3);
-        assert!(point.bench.mean > 0.0 && point.sim.mean > 0.0);
+        assert_eq!(point.sim.mean, sim_ios(&base, &config, 10));
     }
 
     #[test]
     fn bench_and_sim_columns_are_comparable() {
-        let base = tiny_base();
-        let wl = tiny_wl();
-        let bench = o2_bench_ios(&base, &wl, 1, 7);
-        let sim = o2_sim_ios(&base, &wl, 1, 7);
+        let (bench, sim) = columns(Preset::O2, 1, 7);
         assert!(bench > 0.0);
         assert!(sim > 0.0);
         // Same workload, independent implementations: within 3× of each
@@ -493,10 +466,7 @@ mod tests {
 
     #[test]
     fn texas_columns_are_comparable() {
-        let base = tiny_base();
-        let wl = tiny_wl();
-        let bench = texas_bench_ios(&base, &wl, 1, 9);
-        let sim = texas_sim_ios(&base, &wl, 1, 9);
+        let (bench, sim) = columns(Preset::Texas, 1, 9);
         assert!(bench > 0.0 && sim > 0.0);
         let ratio = bench / sim;
         assert!((0.25..4.0).contains(&ratio), "bench/sim ratio {ratio}");
@@ -506,24 +476,20 @@ mod tests {
     fn engine_metadata_ios_separate_bench_from_sim() {
         // With the persistent OID table, the benchmark column must sit
         // strictly above the simulation column on the same stream.
-        let base = tiny_base();
-        let wl = tiny_wl();
-        let bench = o2_bench_ios(&base, &wl, 4, 11);
-        let sim = o2_sim_ios(&base, &wl, 4, 11);
+        let (bench, sim) = columns(Preset::O2, 4, 11);
         assert!(bench > sim, "bench {bench} should exceed sim {sim}");
     }
 
     #[test]
     fn measure_point_produces_intervals() {
-        let wl = tiny_wl();
-        let db = DatabaseParams::small();
-        let point = measure_point(
+        let point = measure_preset_point(
+            Preset::O2,
             500.0,
-            &db,
+            &DatabaseParams::small(),
+            &tiny_wl(),
+            1,
             5,
             11,
-            |base, seed| o2_bench_ios(base, &wl, 1, seed),
-            |base, seed| o2_sim_ios(base, &wl, 1, seed),
         );
         assert_eq!(point.bench.n, 5);
         assert!(point.bench.mean > 0.0);
@@ -538,7 +504,7 @@ mod tests {
             hot_transactions: 200,
             ..WorkloadParams::dstc_favorable()
         };
-        let dstc = clustering::DstcParams {
+        let dstc = DstcParams {
             observation_period: 2_000,
             tfa: 2.0,
             tfc: 1.0,
@@ -547,8 +513,9 @@ mod tests {
             max_unit_size: 32,
             trigger_threshold: usize::MAX,
         };
-        let bench = dstc_bench_once(&base, &wl, 64, dstc.clone(), 13);
-        let sim = dstc_sim_once(&base, &wl, 64, dstc, 13);
+        let config = texas_dstc_config(&DatabaseParams::small(), &wl, 64, dstc.clone());
+        let bench = dstc_bench_once(&base, &wl, 64, dstc, 13);
+        let sim = dstc_sim_once(&base, &config, 13);
         assert!(bench.clusters > 0.0);
         assert!(sim.clusters > 0.0);
         assert!(bench.gain() > 1.0, "bench gain {}", bench.gain());

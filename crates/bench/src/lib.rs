@@ -1,22 +1,24 @@
 //! # voodb-bench — the harness regenerating the paper's evaluation
 //!
-//! One binary per table/figure of *VOODB* (VLDB 1999), §4:
+//! `repro_all` regenerates every table and figure of *VOODB* (VLDB
+//! 1999), §4, from one definition per artifact; the other binaries go
+//! beyond the paper or measure the engine:
 //!
 //! | Binary | Artifact |
 //! |---|---|
-//! | `fig06_07_o2_base_size` | Figs. 6 & 7: mean I/Os vs. instances (O2) |
-//! | `fig08_o2_cache` | Fig. 8: mean I/Os vs. server cache size (O2) |
-//! | `fig09_10_texas_base_size` | Figs. 9 & 10: mean I/Os vs. instances (Texas) |
-//! | `fig11_texas_memory` | Fig. 11: mean I/Os vs. available memory (Texas) |
-//! | `tab06_07_dstc_mid` | Tables 6 & 7: DSTC on the mid-sized base |
-//! | `tab08_dstc_large` | Table 8: DSTC on the "large" base (8 MB) |
-//! | `policy_sweep` | Ablation: replacement policies under one workload |
-//! | `repro_all` | Everything above, in sequence |
+//! | `repro_all` | Figs. 6–11 (mean I/Os vs. instances, cache and memory size, O2 and Texas), Tables 6–8 (DSTC), response-time percentiles |
+//! | `dstc_sweep` | Beyond the paper: the DSTC parameter space |
+//! | `policy_sweep` | Beyond the paper: replacement policies under one workload |
+//! | `strategy_compare` | Beyond the paper: clustering strategies compared |
+//! | `engine_bench` | Engine throughput and telemetry overhead (`BENCH_engine.json`) |
+//! | `schedbench` | Calendar queue vs. heap oracle under the hold pattern |
 //!
-//! Each prints a Benchmark column (the `oostore` mini-engines) and a
-//! Simulation column (the `voodb` model) with 95% confidence intervals,
-//! mirroring the paper's figures. Criterion benches (`cargo bench`) cover
-//! kernel throughput and scaled-down versions of the same experiments.
+//! Each paper artifact prints a Benchmark column (the `oostore`
+//! mini-engines, driven by [`harness`]) and a Simulation column (the
+//! `voodb` model, through core's `run_replication` and
+//! `run_dstc_study`) with 95% confidence intervals, mirroring the
+//! paper's figures. Criterion benches (`cargo bench`) cover kernel
+//! throughput and scaled-down versions of the same experiments.
 
 pub mod args;
 pub mod harness;
@@ -24,10 +26,9 @@ pub mod report;
 
 pub use args::{Args, COMMON_KEYS};
 pub use harness::{
-    dstc_bench_once, dstc_mean, dstc_sim_once, generate_workload, measure_point,
-    measure_preset_point, o2_bench_ios, o2_sim_ios, preset_ios, preset_latency,
-    preset_latency_once, replicate, replicate_map, texas_bench_ios, texas_sim_ios, DstcSide,
-    Estimate, Point, Preset, Side, INSTANCE_SWEEP, MEMORY_SWEEP_MB,
+    bench_ios, dstc_bench_once, dstc_mean, dstc_sim_once, generate_workload, measure_dstc,
+    measure_preset_point, replicate_map, sim_latency, study_dstc_params, texas_dstc_config,
+    DstcSide, Estimate, Point, Preset, INSTANCE_SWEEP, MEMORY_SWEEP_MB,
 };
 pub use report::{
     check_same_tendency, dstc_report_table, latency_report_table, print_cluster_table,

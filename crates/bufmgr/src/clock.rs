@@ -5,7 +5,7 @@
 //! on each sweep, evicting at zero.
 
 use crate::policy::{PageId, ReplacementPolicy};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// One slot of the clock ring.
 #[derive(Debug, Clone, Copy)]
@@ -19,6 +19,8 @@ struct Slot {
 struct Ring {
     slots: Vec<Slot>,
     index: HashMap<PageId, usize>,
+    /// Positions of the freed slots (evictions and invalidations).
+    free: BTreeSet<usize>,
     hand: usize,
     /// Counter value a page receives on reference.
     weight: u8,
@@ -29,6 +31,7 @@ impl Ring {
         Ring {
             slots: Vec::new(),
             index: HashMap::new(),
+            free: BTreeSet::new(),
             hand: 0,
             weight,
         }
@@ -36,20 +39,28 @@ impl Ring {
 
     fn admit(&mut self, page: PageId) {
         debug_assert!(!self.index.contains_key(&page));
-        // New pages enter at the hand position (the slot just vacated by
-        // the previous eviction), with a zero counter: CLOCK's classic
-        // "first chance comes from the first reference".
+        // New pages enter with a zero counter: CLOCK's classic "first
+        // chance comes from the first reference".
         let slot = Slot { page, counter: 0 };
-        if self.slots.is_empty() || self.index.len() == self.slots.len() {
+        // The first free slot at or after the hand, wrapping: the slot
+        // the previous eviction vacated, or one an invalidation freed.
+        let Some(&pos) = self
+            .free
+            .range(self.hand..)
+            .next()
+            .or_else(|| self.free.first())
+        else {
             // Ring still growing (pool warm-up).
             self.index.insert(page, self.slots.len());
             self.slots.push(slot);
-        } else {
-            // Reuse the free slot left at the hand.
-            let pos = self.hand % self.slots.len();
-            debug_assert_eq!(self.slots[pos].counter, u8::MAX, "hand slot must be free");
-            self.slots[pos] = slot;
-            self.index.insert(page, pos);
+            return;
+        };
+        self.free.remove(&pos);
+        self.slots[pos] = slot;
+        self.index.insert(page, pos);
+        if pos == self.hand {
+            // The hand advances past a refill under it, granting the
+            // newcomer a full sweep.
             self.hand = (pos + 1) % self.slots.len();
         }
     }
@@ -70,8 +81,8 @@ impl Ring {
             let pos = self.hand % n;
             let slot = &mut self.slots[pos];
             if slot.counter == u8::MAX {
-                // Freed slot (should not happen between admit/evict pairs,
-                // but skip defensively).
+                // Freed slot (the pool only asks for a victim when every
+                // frame is taken, but skip defensively).
                 self.hand = (pos + 1) % n;
                 continue;
             }
@@ -85,9 +96,10 @@ impl Ring {
 
     fn evict(&mut self, page: PageId) {
         if let Some(pos) = self.index.remove(&page) {
-            // Mark the slot free; the hand stays so the next admission
-            // reuses it.
+            // Mark the slot free and park the hand on it, so the next
+            // admission reuses it.
             self.slots[pos].counter = u8::MAX;
+            self.free.insert(pos);
             self.hand = pos;
         }
     }
@@ -217,6 +229,33 @@ mod tests {
         // 4 reuses slot 0 and the hand advances past it, granting the
         // newcomer a full sweep (classic CLOCK): next victim is 2.
         assert_eq!(p.select_victim(), 2);
+    }
+
+    #[test]
+    fn invalidations_between_evictions_refill_free_slots_only() {
+        let mut p = ClockPolicy::new();
+        for page in 1..=4 {
+            p.on_admit(page);
+        }
+        // Two pages dropped without a victim search (the pool's
+        // invalidation path), then two admissions.
+        p.on_evict(2);
+        p.on_evict(3);
+        p.on_admit(5);
+        p.on_admit(6);
+        for page in [1, 4, 5, 6] {
+            let pos = p.ring.index[&page];
+            assert_eq!(p.ring.slots[pos].page, page, "page {page} lost its slot");
+        }
+        let mut victims: Vec<PageId> = (0..4)
+            .map(|_| {
+                let victim = p.select_victim();
+                p.on_evict(victim);
+                victim
+            })
+            .collect();
+        victims.sort_unstable();
+        assert_eq!(victims, [1, 4, 5, 6]);
     }
 
     #[test]

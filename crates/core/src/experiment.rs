@@ -5,10 +5,20 @@
 //! confidence intervals; a pilot study of 10 replications sizes the run
 //! (`n* = n·(h/h*)²`), 100 replications being always sufficient.
 //!
-//! [`Simulation`] drives one replication through its phases (a cold run,
-//! the measured warm run, external clustering demands, cold restarts);
-//! [`run_replicated`] wraps any experiment closure in the replication
-//! protocol via `desp`'s [`Replicator`].
+//! Every simulated run goes through one of two bodies, both over a
+//! shared, already generated [`ObjectBase`] (the paper built each
+//! database once; replications vary only the transaction stream):
+//!
+//! * [`run_replication`] streams one workload phase through the model,
+//!   with any probe on either scheduler — the Sim column of every
+//!   figure, every scenario sweep point and every bench measurement;
+//! * [`run_dstc_study`] runs the §4.4 clustering protocol (pre-run,
+//!   external reorganisation, cold restart, post-run) — Tables 6–8 and
+//!   the strategy comparisons.
+//!
+//! [`Simulation`] drives one replication through its phases;
+//! [`run_once`] and [`run_replicated`] generate the base from the seed
+//! and wrap [`run_replication`] in `desp`'s [`Replicator`].
 
 use crate::cman::SimReorgReport;
 use crate::model::{PhaseMode, VoodbModel};
@@ -23,8 +33,10 @@ use ocb::{
     WorkloadGenerator, WorkloadParams,
 };
 
-/// Seed decorrelation constant between database and workload streams.
-const WORKLOAD_SEED_SALT: u64 = 0x0C0B_57A7_15EC_5EED;
+/// Seed decorrelation constant between database and workload streams:
+/// replication `seed` generates its transactions from
+/// `seed ^ WORKLOAD_SEED_SALT`.
+pub const WORKLOAD_SEED_SALT: u64 = 0x0C0B_57A7_15EC_5EED;
 
 /// The streamed phase a workload prescribes: a time-horizon phase when
 /// `duration_ms > 0`, else the classic `COLDN + HOTN` count-based run —
@@ -76,40 +88,8 @@ impl<'a> Simulation<'a> {
     /// `cold_count` onwards. State (buffers, placement, clustering
     /// statistics) carries over between phases.
     pub fn run_phase(&mut self, transactions: Vec<Transaction>, cold_count: usize) -> PhaseResult {
-        self.run_phase_probed(transactions, cold_count, NoProbe).0
-    }
-
-    /// Runs one phase with a trace probe attached (e.g. a
-    /// `voodb-trace` recorder), returning the probe alongside the
-    /// result. Probes only observe, so the [`PhaseResult`] is
-    /// bit-identical to an untraced [`Self::run_phase`] of the same
-    /// phase.
-    pub fn run_phase_probed<P: Probe>(
-        &mut self,
-        transactions: Vec<Transaction>,
-        cold_count: usize,
-        probe: P,
-    ) -> (PhaseResult, P) {
-        self.run_phase_probed_on::<P, CalendarKind>(transactions, cold_count, probe)
-    }
-
-    /// [`Self::run_phase_probed`] on a statically chosen scheduler kind.
-    /// Schedulers dispatch in the identical total order, so the result
-    /// is bit-identical whichever kind runs it (asserted by the
-    /// scheduler differential tests).
-    pub fn run_phase_probed_on<P: Probe, Q: QueueKind>(
-        &mut self,
-        transactions: Vec<Transaction>,
-        cold_count: usize,
-        probe: P,
-    ) -> (PhaseResult, P) {
-        assert!(cold_count <= transactions.len());
-        self.run_phase_source_on::<P, Q>(
-            Box::new(ocb::MaterializedSource::new(transactions)),
-            PhaseMode::Count { cold: cold_count },
-            Arrival::Closed,
-            probe,
-        )
+        self.run_phase_sched(transactions, cold_count, NoProbe, SchedulerKind::default())
+            .0
     }
 
     /// Runs one **streamed** phase: the Users sub-model pulls from
@@ -151,7 +131,12 @@ impl<'a> Simulation<'a> {
         (result, probe)
     }
 
-    /// [`Self::run_phase_probed`] on a runtime-selected scheduler kind.
+    /// [`Self::run_phase`] with a probe attached (e.g. a `voodb-trace`
+    /// recorder), on a runtime-selected scheduler kind, returning the
+    /// probe alongside the result. Probes only observe and schedulers
+    /// dispatch in the identical total order, so the [`PhaseResult`] is
+    /// bit-identical to an untraced [`Self::run_phase`] (asserted by the
+    /// tracing and scheduler differential tests).
     pub fn run_phase_sched<P: Probe>(
         &mut self,
         transactions: Vec<Transaction>,
@@ -159,14 +144,14 @@ impl<'a> Simulation<'a> {
         probe: P,
         sched: SchedulerKind,
     ) -> (PhaseResult, P) {
-        match sched {
-            SchedulerKind::Calendar => {
-                self.run_phase_probed_on::<P, CalendarKind>(transactions, cold_count, probe)
-            }
-            SchedulerKind::Heap => {
-                self.run_phase_probed_on::<P, HeapKind>(transactions, cold_count, probe)
-            }
-        }
+        assert!(cold_count <= transactions.len());
+        self.run_phase_source_sched(
+            Box::new(ocb::MaterializedSource::new(transactions)),
+            PhaseMode::Count { cold: cold_count },
+            Arrival::Closed,
+            probe,
+            sched,
+        )
     }
 
     /// [`Self::run_phase_source_on`] on a runtime-selected scheduler kind.
@@ -245,55 +230,44 @@ impl ExperimentConfig {
     }
 }
 
-/// Runs one replication of the standard experiment: generate the base and
-/// the workload from `seed`, execute `COLDN` cold + `HOTN` measured
-/// transactions, return the phase result.
+/// Runs one replication of the standard experiment: generate the base
+/// from `seed`, then [`run_replication`] over it.
 pub fn run_once(config: &ExperimentConfig, seed: u64) -> PhaseResult {
-    run_once_probed(config, seed, NoProbe).0
+    config.validate().expect("invalid experiment configuration");
+    let base = ObjectBase::generate(&config.database, seed);
+    run_replication(&base, config, seed, NoProbe, SchedulerKind::default()).0
 }
 
-/// [`run_once`] with a trace probe attached (e.g. a `voodb-trace`
-/// recorder). Probes only observe, so the [`PhaseResult`] is
-/// bit-identical to the untraced run.
-pub fn run_once_probed<P: Probe>(
-    config: &ExperimentConfig,
-    seed: u64,
-    probe: P,
-) -> (PhaseResult, P) {
-    run_once_with(config, seed, probe, SchedulerKind::default())
-}
-
-/// [`run_once`] on a runtime-selected scheduler kind (the
-/// heap-vs-calendar surface of `engine_bench` and the differential
-/// tests; results are bit-identical across kinds).
-pub fn run_once_sched(config: &ExperimentConfig, seed: u64, sched: SchedulerKind) -> PhaseResult {
-    run_once_with(config, seed, NoProbe, sched).0
-}
-
-/// The shared body behind every `run_once` variant: generate the base
-/// from `seed` and **stream** the workload through the single phase with
-/// the given probe on the given scheduler (count-based or time-horizon
-/// per the workload's `duration_ms`; bit-identical to the materialized
-/// oracle on count-based phases, asserted by the differential tests).
-fn run_once_with<P: Probe>(
+/// The one replication body: **streams** the workload of `config` (from
+/// `seed ^ WORKLOAD_SEED_SALT`) over the shared `base` through a single
+/// phase — count-based or time-horizon per the workload's
+/// `duration_ms`, with its arrival process and user population — on the
+/// given scheduler, with `probe` attached. `config` must be valid
+/// ([`ExperimentConfig::validate`]); its `database` is not read: `base`
+/// is the object base.
+///
+/// Probes only observe and schedulers dispatch in the identical total
+/// order, so the [`PhaseResult`] is the same for every probe and kind;
+/// on count-based phases it is bit-identical to replaying the
+/// materialized workload (the differential tests assert all three).
+pub fn run_replication<P: Probe>(
+    base: &ObjectBase,
     config: &ExperimentConfig,
     seed: u64,
     probe: P,
     sched: SchedulerKind,
 ) -> (PhaseResult, P) {
-    config.validate().expect("invalid experiment configuration");
-    let base = ObjectBase::generate(&config.database, seed);
-    let generator =
-        WorkloadGenerator::new(&base, config.workload.clone(), seed ^ WORKLOAD_SEED_SALT);
+    let workload = &config.workload;
+    let generator = WorkloadGenerator::new(base, workload.clone(), seed ^ WORKLOAD_SEED_SALT);
     let (source, mode) = workload_phase(generator);
     let mut simulation = Simulation::new(
-        &base,
+        base,
         config.effective_system(),
-        config.workload.think_time_ms,
+        workload.think_time_ms,
         seed,
     );
-    simulation.configure_users(config.workload.user_model, &config.workload.cohorts);
-    simulation.run_phase_source_sched(source, mode, config.workload.arrival, probe, sched)
+    simulation.configure_users(workload.user_model, &workload.cohorts);
+    simulation.run_phase_source_sched(source, mode, workload.arrival, probe, sched)
 }
 
 /// Runs the experiment under the replication protocol, returning per-metric
@@ -344,26 +318,22 @@ impl DstcStudyResult {
     }
 }
 
-/// Runs one replication of the §4.4 protocol: a cold pre-clustering run
-/// (during which the strategy observes), an external clustering demand,
-/// a cold restart, and a post-clustering re-run of the *same*
-/// transactions.
-pub fn run_dstc_study(config: &ExperimentConfig, seed: u64) -> DstcStudyResult {
-    config.validate().expect("invalid experiment configuration");
-    assert!(
-        !config.system.clustering.is_none(),
-        "the DSTC study needs a clustering strategy (CLUSTP)"
-    );
-    let base = ObjectBase::generate(&config.database, seed);
+/// Runs one replication of the §4.4 protocol over the shared `base`: a
+/// cold pre-clustering run (during which the strategy observes), an
+/// external clustering demand, a cold restart, and a post-clustering
+/// re-run of the *same* transactions. With `CLUSTP = none` nothing is
+/// reorganised and the study is the no-clustering baseline. `config`
+/// must be valid; its `database` is not read: `base` is the object base.
+pub fn run_dstc_study(base: &ObjectBase, config: &ExperimentConfig, seed: u64) -> DstcStudyResult {
     let mut generator =
-        WorkloadGenerator::new(&base, config.workload.clone(), seed ^ WORKLOAD_SEED_SALT);
+        WorkloadGenerator::new(base, config.workload.clone(), seed ^ WORKLOAD_SEED_SALT);
     let (cold, hot) = generator.generate_run();
     let cold_count = cold.len();
     let mut transactions = cold;
     transactions.extend(hot);
 
     let mut simulation = Simulation::new(
-        &base,
+        base,
         config.effective_system(),
         config.workload.think_time_ms,
         seed,
@@ -514,7 +484,8 @@ mod tests {
                 ..WorkloadParams::dstc_favorable()
             },
         };
-        let study = run_dstc_study(&config, 21);
+        let base = ObjectBase::generate(&config.database, 21);
+        let study = run_dstc_study(&base, &config, 21);
         assert!(study.reorg.cluster_count > 0, "clusters must form");
         assert!(
             study.gain() > 1.0,
@@ -535,8 +506,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "needs a clustering strategy")]
-    fn dstc_study_requires_clustering() {
-        let _ = run_dstc_study(&small_config(), 1);
+    fn dstc_study_without_clustering_is_a_baseline() {
+        let config = small_config();
+        let base = ObjectBase::generate(&config.database, 1);
+        let study = run_dstc_study(&base, &config, 1);
+        assert_eq!(study.reorg.cluster_count, 0);
+        assert_eq!(study.reorg.io.total(), 0);
+        assert_eq!(study.pre.transactions, study.post.transactions);
     }
 }

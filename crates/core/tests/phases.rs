@@ -2,8 +2,10 @@
 
 use clustering::{ClusteringKind, DstcParams};
 use desp::{NoProbe, QueueKind, Scheduler, SimTime};
-use ocb::{DatabaseParams, ObjectBase, WorkloadGenerator, WorkloadParams};
-use voodb::{Simulation, SystemClass, VoodbParams};
+use ocb::{
+    Arrival, DatabaseParams, MaterializedSource, ObjectBase, WorkloadGenerator, WorkloadParams,
+};
+use voodb::{PhaseMode, Simulation, SystemClass, VoodbParams};
 
 fn base() -> ObjectBase {
     ObjectBase::generate(&DatabaseParams::small(), 61)
@@ -236,5 +238,10 @@ fn misordered_phase_is_never_reported() {
         ..VoodbParams::default()
     };
     let mut simulation = Simulation::new(&base, params, 0.0, 5);
-    simulation.run_phase_probed_on::<NoProbe, LifoKind>(txs, 0, NoProbe);
+    simulation.run_phase_source_on::<NoProbe, LifoKind>(
+        Box::new(MaterializedSource::new(txs)),
+        PhaseMode::Count { cold: 0 },
+        Arrival::Closed,
+        NoProbe,
+    );
 }

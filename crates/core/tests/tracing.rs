@@ -1,7 +1,7 @@
 //! Telemetry integration: the trace recorder observes the VOODB model
 //! without perturbing it.
 
-use desp::CountingProbe;
+use desp::{CountingProbe, SchedulerKind};
 use ocb::{DatabaseParams, ObjectBase, UserModel, WorkloadGenerator, WorkloadParams};
 use voodb::{Simulation, SystemClass, VoodbParams};
 use vtrace::RecorderConfig;
@@ -32,8 +32,12 @@ fn traced_phase_matches_untraced_phase_exactly() {
     let untraced = plain.run_phase(transactions.clone(), 0);
 
     let mut probed = Simulation::new(&base, params, 1.0, 7);
-    let (traced, mut recorder) =
-        probed.run_phase_probed(transactions, 0, RecorderConfig::new().build());
+    let (traced, mut recorder) = probed.run_phase_sched(
+        transactions,
+        0,
+        RecorderConfig::new().build(),
+        SchedulerKind::default(),
+    );
     recorder.flush();
 
     assert_eq!(untraced.transactions, traced.transactions);
@@ -66,8 +70,12 @@ fn traced_cohort_run_with_waiting_users_records_every_commit() {
 
     let mut probed = Simulation::new(&base, params, 1.0, 7);
     probed.configure_users(UserModel::Cohort, &[]);
-    let (traced, mut recorder) =
-        probed.run_phase_probed(transactions, 0, RecorderConfig::new().build());
+    let (traced, mut recorder) = probed.run_phase_sched(
+        transactions,
+        0,
+        RecorderConfig::new().build(),
+        SchedulerKind::default(),
+    );
     recorder.flush();
 
     // Debug prints each f64 as its shortest round-trip form, so equal
@@ -86,8 +94,12 @@ fn traced_cohort_run_with_waiting_users_records_every_commit() {
 fn spans_decompose_response_and_feed_histograms() {
     let (base, transactions, params) = setup(4);
     let mut simulation = Simulation::new(&base, params, 1.0, 7);
-    let (result, mut recorder) =
-        simulation.run_phase_probed(transactions, 0, RecorderConfig::new().build());
+    let (result, mut recorder) = simulation.run_phase_sched(
+        transactions,
+        0,
+        RecorderConfig::new().build(),
+        SchedulerKind::default(),
+    );
     recorder.flush();
 
     // Stage sums never exceed the span's end-to-end response, and disk
@@ -148,7 +160,12 @@ fn spans_decompose_response_and_feed_histograms() {
 fn counting_probe_sees_kernel_traffic() {
     let (base, transactions, params) = setup(2);
     let mut simulation = Simulation::new(&base, params, 0.0, 3);
-    let (result, probe) = simulation.run_phase_probed(transactions, 0, CountingProbe::default());
+    let (result, probe) = simulation.run_phase_sched(
+        transactions,
+        0,
+        CountingProbe::default(),
+        SchedulerKind::default(),
+    );
     assert_eq!(probe.dispatches, result.events);
     assert!(probe.schedules >= probe.dispatches);
     assert!(probe.spans > 0);

@@ -25,17 +25,13 @@
 //! The determinism test in `tests/golden.rs` asserts byte-identical CSV
 //! output for `threads = 1` vs `threads = 8`.
 
-use crate::spec::{Scenario, SweepPoint};
+use crate::spec::Scenario;
 use desp::{ConfidenceInterval, NoProbe, Probe, SchedulerKind};
 use ocb::{Arrival, ObjectBase, WorkloadGenerator};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use voodb::{workload_phase, PhaseResult, Simulation};
+use voodb::{run_replication, ExperimentConfig, PhaseResult, Simulation, WORKLOAD_SEED_SALT};
 use vtrace::{RecorderConfig, TraceRecorder};
-
-/// Salt decorrelating workload seeds from database seeds (the same
-/// constant the bench harness uses, so scenario runs are comparable).
-pub const WORKLOAD_SEED_SALT: u64 = 0x0C0B_57A7_15EC_5EED;
 
 /// Confidence level of the reported intervals (the paper's c = 0.95).
 pub const CONFIDENCE: f64 = 0.95;
@@ -126,67 +122,22 @@ pub fn replication_seed(point_seed: u64, rep: usize) -> u64 {
     splitmix64(point_seed ^ splitmix64(0x7E11_CA7E_0000_0000 ^ rep as u64))
 }
 
-/// Runs one replication of a point over a shared object base: generate
-/// the transaction stream from the replication seed, execute the cold
-/// then the measured run through the VOODB model.
-pub fn run_replication(base: &ObjectBase, point: &SweepPoint, seed: u64) -> PhaseResult {
-    run_replication_probed(base, point, seed, NoProbe).0
-}
-
-/// [`run_replication`] with a trace probe attached. Probes only
-/// observe, so the [`PhaseResult`] is bit-identical to the untraced run
-/// (asserted by the runner tests).
-pub fn run_replication_probed<P: Probe>(
-    base: &ObjectBase,
-    point: &SweepPoint,
-    seed: u64,
-    probe: P,
-) -> (PhaseResult, P) {
-    run_replication_sched(base, point, seed, probe, SchedulerKind::default())
-}
-
-/// [`run_replication_probed`] on an explicit scheduler kind, streaming
-/// the workload (phase memory is O(in-flight) transactions; see
-/// [`run_replication_materialized`] for the oracle). The kind cannot
-/// change the result — schedulers dispatch in the identical total
-/// order — which the differential test (`tests/sched_differential.rs`)
-/// asserts over the whole smoke scenario.
-pub fn run_replication_sched<P: Probe>(
-    base: &ObjectBase,
-    point: &SweepPoint,
-    seed: u64,
-    probe: P,
-    sched: SchedulerKind,
-) -> (PhaseResult, P) {
-    let workload = &point.config.workload;
-    let generator = WorkloadGenerator::new(base, workload.clone(), seed ^ WORKLOAD_SEED_SALT);
-    let (source, mode) = workload_phase(generator);
-    let mut simulation = Simulation::new(
-        base,
-        point.config.effective_system(),
-        workload.think_time_ms,
-        seed,
-    );
-    simulation.configure_users(workload.user_model, &workload.cohorts);
-    simulation.run_phase_source_sched(source, mode, workload.arrival, probe, sched)
-}
-
 /// The materialized oracle behind `--materialized`: generates the whole
 /// count-based run up front (the pre-streaming implementation) and
-/// replays it. Bit-identical to [`run_replication_sched`] — asserted by
-/// `tests/stream_differential.rs` and the CI CSV diff.
+/// replays it. Bit-identical to the streamed [`run_replication`] —
+/// asserted by `tests/stream_differential.rs` and the CI CSV diff.
 ///
 /// # Panics
 /// Panics on a time-horizon point (an unbounded stream cannot be
 /// materialized); the sweep runner rejects that combination up front.
 pub fn run_replication_materialized<P: Probe>(
     base: &ObjectBase,
-    point: &SweepPoint,
+    config: &ExperimentConfig,
     seed: u64,
     probe: P,
     sched: SchedulerKind,
 ) -> (PhaseResult, P) {
-    let workload = &point.config.workload;
+    let workload = &config.workload;
     assert!(
         workload.duration_ms == 0.0,
         "cannot materialize a time-horizon phase"
@@ -198,7 +149,7 @@ pub fn run_replication_materialized<P: Probe>(
     transactions.extend(hot);
     let mut simulation = Simulation::new(
         base,
-        point.config.effective_system(),
+        config.effective_system(),
         workload.think_time_ms,
         seed,
     );
@@ -355,11 +306,11 @@ where
                 let run = if options.materialized {
                     run_replication_materialized
                 } else {
-                    run_replication_sched
+                    run_replication
                 };
                 let result = run(
                     base,
-                    point,
+                    &point.config,
                     replication_seed(p_seed, r),
                     make_probe(job),
                     options.scheduler,

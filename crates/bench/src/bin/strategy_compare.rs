@@ -14,7 +14,7 @@
 
 use clustering::ClusteringKind;
 use ocb::{DatabaseParams, ObjectBase, WorkloadParams};
-use voodb::{ExperimentConfig, VoodbParams};
+use voodb::{ExperimentConfig, VoodbParams, TEXAS_FRAMES_PER_MB};
 use voodb_bench::{dstc_mean, dstc_sim_once, study_dstc_params, Args, COMMON_KEYS};
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
     println!("# Clustering strategies compared (simulated, {objects} objects, favorable workload)");
     // Tight = roughly half the pre-clustering working set, so the base
     // no longer fits and page replacement dominates (the Table 8 regime).
-    let ample_frames = 64 * 230;
+    let ample_frames = 64 * TEXAS_FRAMES_PER_MB;
     let tight_frames = args.get("tight", 96usize);
     for (regime, buffer_pages) in [
         ("ample memory (64 MB of frames)", ample_frames),

@@ -33,29 +33,6 @@ use oostore::{
 use scenario::CONFIDENCE;
 use voodb::{run_dstc_study, run_replication, ExperimentConfig, VoodbParams, WORKLOAD_SEED_SALT};
 
-/// One measured quantity with its confidence interval.
-#[derive(Clone, Copy, Debug)]
-pub struct Estimate {
-    /// Sample mean.
-    pub mean: f64,
-    /// 95% half-width.
-    pub half_width: f64,
-    /// Replications.
-    pub n: usize,
-}
-
-impl Estimate {
-    /// Builds from raw replication samples.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        let ci = ConfidenceInterval::from_samples(samples, CONFIDENCE);
-        Estimate {
-            mean: ci.mean,
-            half_width: ci.half_width,
-            n: ci.n,
-        }
-    }
-}
-
 /// Runs `reps` replications of `f(seed)` for seeds `base_seed..` across
 /// threads, returning the values in seed order (deterministic output
 /// regardless of scheduling).
@@ -189,8 +166,8 @@ pub fn measure_preset_point(
     });
     Point {
         x,
-        bench: Estimate::from_samples(&bench),
-        sim: Estimate::from_samples(&sim),
+        bench: ConfidenceInterval::from_samples(&bench, CONFIDENCE),
+        sim: ConfidenceInterval::from_samples(&sim, CONFIDENCE),
     }
 }
 
@@ -200,9 +177,9 @@ pub struct Point {
     /// The sweep coordinate (instances, MB of cache, …).
     pub x: f64,
     /// Benchmark estimate.
-    pub bench: Estimate,
+    pub bench: ConfidenceInterval,
     /// Simulation estimate.
-    pub sim: Estimate,
+    pub sim: ConfidenceInterval,
 }
 
 impl Point {
@@ -402,6 +379,15 @@ pub const MEMORY_SWEEP_MB: [usize; 6] = [8, 12, 16, 24, 32, 64];
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn simulation_and_engine_frames_per_mb_agree() {
+        // Both columns of Figs. 8 and 11 must see the same memory; the
+        // engines keep their own pair because they are the "real
+        // system" side.
+        assert_eq!(voodb::O2_FRAMES_PER_MB, oostore::O2_FRAMES_PER_MB);
+        assert_eq!(voodb::TEXAS_FRAMES_PER_MB, oostore::TEXAS_FRAMES_PER_MB);
+    }
 
     fn tiny_base() -> ObjectBase {
         ObjectBase::generate(&DatabaseParams::small(), 7)

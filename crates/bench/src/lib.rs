@@ -28,7 +28,7 @@ pub use args::{Args, COMMON_KEYS};
 pub use harness::{
     bench_ios, dstc_bench_once, dstc_mean, dstc_sim_once, generate_workload, measure_dstc,
     measure_preset_point, replicate_map, sim_latency, study_dstc_params, texas_dstc_config,
-    DstcSide, Estimate, Point, Preset, INSTANCE_SWEEP, MEMORY_SWEEP_MB,
+    DstcSide, Point, Preset, INSTANCE_SWEEP, MEMORY_SWEEP_MB,
 };
 pub use report::{
     check_same_tendency, dstc_report_table, latency_report_table, print_cluster_table,

@@ -249,21 +249,19 @@ pub fn print_cluster_table(title: &str, bench: &DstcSide, sim: &DstcSide) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Estimate;
+    use desp::ConfidenceInterval;
 
     fn point(x: f64, bench: f64, sim: f64) -> Point {
+        let estimate = |mean| ConfidenceInterval {
+            mean,
+            half_width: 1.0,
+            level: 0.95,
+            n: 10,
+        };
         Point {
             x,
-            bench: Estimate {
-                mean: bench,
-                half_width: 1.0,
-                n: 10,
-            },
-            sim: Estimate {
-                mean: sim,
-                half_width: 1.0,
-                n: 10,
-            },
+            bench: estimate(bench),
+            sim: estimate(sim),
         }
     }
 

@@ -81,7 +81,8 @@ impl DstcParams {
         if !(0.0..=1.0).contains(&self.w) {
             return Err(format!("ageing factor w must be in [0,1], got {}", self.w));
         }
-        if self.tfa < 0.0 || self.tfc < 0.0 || self.tfe < 0.0 {
+        // Negated so that NaN fails too.
+        if !(self.tfa >= 0.0 && self.tfc >= 0.0 && self.tfe >= 0.0) {
             return Err("thresholds must be non-negative".into());
         }
         if self.max_unit_size < 2 {

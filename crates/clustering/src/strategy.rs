@@ -122,6 +122,27 @@ impl ClusteringKind {
         }
     }
 
+    /// Validates the strategy's parameters, so a bad configuration is
+    /// refused up front instead of panicking in [`ClusteringKind::build`].
+    ///
+    /// # Errors
+    /// Returns a description of the first violated constraint.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            ClusteringKind::None => Ok(()),
+            ClusteringKind::Dstc(params) => params.validate(),
+            ClusteringKind::StaticGraph { max_cluster_size } => {
+                if *max_cluster_size < 2 {
+                    Err(format!(
+                        "static-graph clusters need at least 2 objects, got {max_cluster_size}"
+                    ))
+                } else {
+                    Ok(())
+                }
+            }
+        }
+    }
+
     /// True for [`ClusteringKind::None`].
     pub fn is_none(&self) -> bool {
         matches!(self, ClusteringKind::None)

@@ -68,5 +68,7 @@ pub use iosub::{IoSubsystem, SimIoCounts};
 pub use lockmgr::{DeadlockPolicy, LockManager, LockMode, LockOutcome, LockStats};
 pub use model::{Event, PhaseMode, VoodbModel};
 pub use oman::ObjectManager;
-pub use params::{ConcurrencyControl, DiskParams, SystemClass, VoodbParams};
+pub use params::{
+    ConcurrencyControl, DiskParams, SystemClass, VoodbParams, O2_FRAMES_PER_MB, TEXAS_FRAMES_PER_MB,
+};
 pub use results::PhaseResult;

@@ -90,9 +90,7 @@ use desp::{
     key_time, time_key, Context, Model, Probe, QueueKind, RandomStream, Resource, SeriesId,
     SimTime, SpanPoint, SpanStage, Welford,
 };
-use ocb::{
-    Arrival, MaterializedSource, ObjectBase, Transaction, TransactionSource, UserCohort, UserModel,
-};
+use ocb::{Arrival, MaterializedSource, ObjectBase, TransactionSource, UserCohort, UserModel};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -577,18 +575,6 @@ impl<'a> VoodbModel<'a> {
             misses += b.stats().misses;
         }
         (hits, misses)
-    }
-
-    /// Loads a phase: `transactions` with the first `cold_count` unmeasured.
-    /// Resets phase bookkeeping but **keeps** buffer/placement/statistics
-    /// state (a warm continuation; flush explicitly for a cold restart).
-    pub fn load_phase(&mut self, transactions: Vec<Transaction>, cold_count: usize) {
-        assert!(cold_count <= transactions.len());
-        self.load_phase_streamed(
-            Box::new(MaterializedSource::new(transactions)),
-            PhaseMode::Count { cold: cold_count },
-            Arrival::Closed,
-        );
     }
 
     /// Loads a streamed phase: the Users sub-model pulls from `source`
@@ -1474,7 +1460,7 @@ impl<P: Probe, Q: QueueKind> Model<P, Q> for VoodbModel<'_> {
 mod tests {
     use super::*;
     use desp::Engine;
-    use ocb::{DatabaseParams, WorkloadGenerator, WorkloadParams};
+    use ocb::{DatabaseParams, Transaction, WorkloadGenerator, WorkloadParams};
 
     fn base() -> ObjectBase {
         ObjectBase::generate(&DatabaseParams::small(), 31)
@@ -1502,7 +1488,11 @@ mod tests {
         transactions: Vec<Transaction>,
     ) -> PhaseResult {
         let mut model = VoodbModel::new(base, params, 0.0, 99);
-        model.load_phase(transactions, 0);
+        model.load_phase_streamed(
+            Box::new(MaterializedSource::new(transactions)),
+            PhaseMode::Count { cold: 0 },
+            Arrival::Closed,
+        );
         let mut engine = Engine::with_probe(model, desp::NoProbe);
         let outcome = engine.run_to_completion();
         engine.model().phase_result(outcome.events_dispatched)
@@ -1526,7 +1516,11 @@ mod tests {
         let transactions = make_transactions(&base, 30, 7);
         let all = run_phase(&base, small_params(), transactions.clone());
         let mut model = VoodbModel::new(&base, small_params(), 0.0, 99);
-        model.load_phase(transactions, 10);
+        model.load_phase_streamed(
+            Box::new(MaterializedSource::new(transactions)),
+            PhaseMode::Count { cold: 10 },
+            Arrival::Closed,
+        );
         let mut engine = Engine::with_probe(model, desp::NoProbe);
         let outcome = engine.run_to_completion();
         let measured = engine.model().phase_result(outcome.events_dispatched);

@@ -171,6 +171,15 @@ pub enum ConcurrencyControl {
     },
 }
 
+/// O2 page frames per MB of server cache: 240 makes the paper's 16 MB
+/// cache 3840 pages. Used by [`VoodbParams::o2`] and the scenario
+/// `cache_mb` key.
+pub const O2_FRAMES_PER_MB: usize = 240;
+
+/// Texas usable page frames per MB of host memory (see
+/// [`VoodbParams::texas`]). Used by it and the scenario `memory_mb` key.
+pub const TEXAS_FRAMES_PER_MB: usize = 230;
+
 impl Default for VoodbParams {
     /// The Table 3 default column.
     fn default() -> Self {
@@ -197,13 +206,13 @@ impl Default for VoodbParams {
 
 impl VoodbParams {
     /// The O2 system of Table 4, with a server cache of `cache_mb` MB
-    /// (240 frames/MB: 16 MB ⇒ the paper's 3840 pages).
+    /// ([`O2_FRAMES_PER_MB`]: 16 MB ⇒ the paper's 3840 pages).
     pub fn o2(cache_mb: usize) -> Self {
         VoodbParams {
             system_class: SystemClass::PageServer,
             network_throughput_mbps: f64::INFINITY,
             page_size: 4096,
-            buffer_pages: (cache_mb * 240).max(8),
+            buffer_pages: (cache_mb * O2_FRAMES_PER_MB).max(8),
             page_replacement: PolicyKind::Lru,
             prefetch: PrefetchKind::None,
             clustering: ClusteringKind::None,
@@ -221,16 +230,17 @@ impl VoodbParams {
 
     /// The Texas system of Table 4, on a host with `memory_mb` MB of RAM.
     ///
-    /// 230 usable frames/MB, calibrated to the knee of Fig. 11 (Texas
-    /// degrades once memory < the ~21 MB database, i.e. most of RAM acts
-    /// as page cache for the mapped store); Table 4's literal 3275-page
-    /// buffer would contradict the knee the paper itself reports.
+    /// [`TEXAS_FRAMES_PER_MB`] usable frames/MB, calibrated to the knee
+    /// of Fig. 11 (Texas degrades once memory < the ~21 MB database, i.e.
+    /// most of RAM acts as page cache for the mapped store); Table 4's
+    /// literal 3275-page buffer would contradict the knee the paper
+    /// itself reports.
     pub fn texas(memory_mb: usize) -> Self {
         VoodbParams {
             system_class: SystemClass::Centralized,
             network_throughput_mbps: f64::INFINITY, // N/A for centralized
             page_size: 4096,
-            buffer_pages: (memory_mb * 230).max(8),
+            buffer_pages: (memory_mb * TEXAS_FRAMES_PER_MB).max(8),
             page_replacement: PolicyKind::Lru,
             prefetch: PrefetchKind::None,
             clustering: ClusteringKind::None,
@@ -257,7 +267,9 @@ impl VoodbParams {
         if self.buffer_pages == 0 {
             return Err("buffer_pages must be positive".into());
         }
-        if self.network_throughput_mbps <= 0.0 {
+        // NaN fails every comparison, so it is rejected explicitly; +inf
+        // (no network cost) passes.
+        if self.network_throughput_mbps.is_nan() || self.network_throughput_mbps <= 0.0 {
             return Err("network throughput must be positive".into());
         }
         if self.multiprogramming_level == 0 {
@@ -266,10 +278,12 @@ impl VoodbParams {
         if self.users == 0 {
             return Err("users must be positive".into());
         }
-        if self.get_lock_ms < 0.0 || self.release_lock_ms < 0.0 {
+        // Negated so that NaN fails too.
+        if !(self.get_lock_ms >= 0.0 && self.release_lock_ms >= 0.0) {
             return Err("lock times must be non-negative".into());
         }
-        if self.disk.search_ms < 0.0 || self.disk.latency_ms < 0.0 || self.disk.transfer_ms < 0.0 {
+        let disk = &self.disk;
+        if !(disk.search_ms >= 0.0 && disk.latency_ms >= 0.0 && disk.transfer_ms >= 0.0) {
             return Err("disk times must be non-negative".into());
         }
         if let SystemClass::HybridMultiServer { servers } = self.system_class {
@@ -277,6 +291,9 @@ impl VoodbParams {
                 return Err("hybrid system needs at least one server".into());
             }
         }
+        self.clustering
+            .validate()
+            .map_err(|e| format!("clustering: {e}"))?;
         self.hazards.validate()?;
         if let ConcurrencyControl::TwoPhase {
             restart_backoff_ms, ..

@@ -49,7 +49,7 @@ impl Selection {
         match self {
             Selection::Uniform => Ok(()),
             Selection::Zipf(theta) => {
-                if *theta < 0.0 {
+                if theta.is_nan() || *theta < 0.0 {
                     Err(format!("Zipf skew must be non-negative, got {theta}"))
                 } else {
                     Ok(())
@@ -506,7 +506,7 @@ impl WorkloadParams {
         if self.hot_transactions == 0 {
             return Err("hot_transactions must be positive".into());
         }
-        if self.think_time_ms < 0.0 {
+        if self.think_time_ms.is_nan() || self.think_time_ms < 0.0 {
             return Err("think_time_ms must be non-negative".into());
         }
         self.arrival

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! voodb run <file.toml> [--threads N] [--reps N] [--seed S] [--out DIR]
-//!           [--trace] [--trace-shards N] [--trace-sample N]
+//!           [--trace] [--trace-sample N]
 //!           [--watch] [--watch-jsonl PATH] [--watch-interval MS]
 //!           [--scheduler calendar|heap]
 //!           [--duration MS] [--warmup MS] [--arrival SPEC] [--materialized]
@@ -55,7 +55,7 @@ voodb — declarative VOODB experiments
 
 USAGE:
     voodb run <file.toml> [--threads N] [--reps N] [--seed S] [--out DIR]
-              [--trace] [--trace-shards N] [--trace-sample N]
+              [--trace] [--trace-sample N]
               [--watch] [--watch-jsonl PATH] [--watch-interval MS]
               [--scheduler calendar|heap]
               [--duration MS] [--warmup MS] [--arrival SPEC] [--materialized]
@@ -110,10 +110,6 @@ OPTIONS (run):
     --out DIR     Report directory (default: target/voodb-out).
     --trace       Record every job: transaction spans (JSONL), time
                   series (CSV) and summary.json under <out>/<name>.trace/.
-    --trace-shards N
-                  Span shards per recorder (rounded up to a power of
-                  two; default 1). Exported results are identical at
-                  any shard count. Requires --trace.
     --trace-sample N
                   Bounded-loss span sampling: retain at most N raw span
                   records per job (uniform reservoir). Histograms and
@@ -258,7 +254,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
             "duration",
             "warmup",
             "arrival",
-            "trace-shards",
             "trace-sample",
             "watch-jsonl",
             "watch-interval",
@@ -276,7 +271,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
         ..RunOptions::default()
     };
     let mut out_dir = PathBuf::from(DEFAULT_OUT_DIR);
-    let mut trace_shards = 1usize;
     let mut trace_sample: Option<usize> = None;
     let mut watch_jsonl: Option<PathBuf> = None;
     let mut watch_interval = 100.0f64;
@@ -295,7 +289,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 out_dir = PathBuf::from(raw);
                 Ok(())
             }
-            "trace-shards" => parse_opt(name, raw).map(|v| trace_shards = v),
             "trace-sample" => parse_opt(name, raw).map(|v| trace_sample = Some(v)),
             "watch-jsonl" => {
                 watch_jsonl = Some(PathBuf::from(raw));
@@ -319,8 +312,8 @@ fn cmd_run(args: &[String]) -> ExitCode {
     let watching = watch_terminal || watch_jsonl.is_some();
     // Watching needs the recorder, so it implies --trace.
     let trace = flags.contains(&"trace") || watching;
-    if !trace && (trace_shards != 1 || trace_sample.is_some()) {
-        return fail("--trace-shards / --trace-sample require --trace");
+    if !trace && trace_sample.is_some() {
+        return fail("--trace-sample requires --trace");
     }
     let scenario = match load(file) {
         Ok(s) => s,
@@ -336,7 +329,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         if trace { " (traced)" } else { "" },
     );
     let (result, traces) = if trace {
-        let mut config = RecorderConfig::new().shards(trace_shards);
+        let mut config = RecorderConfig::new();
         if let Some(cap) = trace_sample {
             config = config.sample(cap);
         }

@@ -69,8 +69,8 @@ pub use runner::{
     RunOptions, SweepResult, CONFIDENCE,
 };
 pub use spec::{
-    apply_param, arrival_to_string, params_help_text, parse_arrival, Scenario, SweepAxis,
-    SweepPoint, PARAM_HELP,
+    apply_param, arrival_to_string, params_help_text, parse_arrival, Param, Scenario, SweepAxis,
+    SweepPoint, PARAMS,
 };
 pub use toml::{parse, serialize, Table, TomlError, Value};
 pub use tracing::{job_metrics, trace_dir_for, write_trace_reports};

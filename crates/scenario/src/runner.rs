@@ -202,8 +202,8 @@ pub fn run_sweep_traced(
     run_sweep_traced_with(scenario, options, &RecorderConfig::new())
 }
 
-/// [`run_sweep_traced`] with an explicit [`RecorderConfig`] (shards,
-/// sampling, watch sinks). Each job's recorder comes from
+/// [`run_sweep_traced`] with an explicit [`RecorderConfig`] (sampling,
+/// watch sinks). Each job's recorder comes from
 /// [`RecorderConfig::build_for_job`], so sampling seeds and watch
 /// labels are deterministic per (point × replication); recorders are
 /// flushed before being returned.

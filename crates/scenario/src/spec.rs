@@ -20,20 +20,17 @@
 //! Every key a section accepts is also a valid sweep `param` (prefixed
 //! with its section), so *any* scalar parameter of the model can be
 //! swept without writing Rust. Multiple `[[sweep]]` axes form a full
-//! cartesian grid. The supported keys are listed in [`PARAM_HELP`] and
-//! surfaced by `voodb validate`.
+//! cartesian grid. Each key is defined once, in the [`PARAMS`] table:
+//! its help text (`voodb params`), its setter (section parsing and
+//! sweep axes) and its getter (canonical serialization).
 
 use crate::toml::{self, format_float, Table, TomlError, Value};
 use bufmgr::{PolicyKind, PrefetchKind};
 use clustering::{ClusteringKind, DstcParams, InitialPlacement};
 use ocb::{Arrival, Selection};
-use voodb::{DiskParams, ExperimentConfig, SystemClass, VoodbParams};
-
-/// O2 page frames per MB of server cache (matches [`VoodbParams::o2`]).
-pub const O2_FRAMES_PER_MB: usize = 240;
-/// Texas usable page frames per MB of host memory (matches
-/// [`VoodbParams::texas`]).
-pub const TEXAS_FRAMES_PER_MB: usize = 230;
+use voodb::{
+    DiskParams, ExperimentConfig, SystemClass, VoodbParams, O2_FRAMES_PER_MB, TEXAS_FRAMES_PER_MB,
+};
 
 /// One swept parameter axis.
 #[derive(Clone, Debug, PartialEq)]
@@ -161,9 +158,7 @@ impl Scenario {
                         }
                     }
                 }
-                ("system", Value::Table(t))
-                | ("database", Value::Table(t))
-                | ("workload", Value::Table(t)) => {
+                (section, Value::Table(t)) if SECTIONS.contains(&section) => {
                     for (k, v) in t {
                         apply_param(&mut config, &format!("{key}.{k}"), v)
                             .map_err(|e| format!("[{key}]: {e}"))?;
@@ -277,29 +272,21 @@ impl Scenario {
             "description".into(),
             Value::String(self.description.clone()),
         );
-        meta.insert(
-            "replications".into(),
-            Value::Integer(self.replications.min(i64::MAX as usize) as i64),
-        );
-        // TOML integers are i64; out-of-range values clamp (a parsed
-        // scenario can never hold one, so round-trips are unaffected).
-        meta.insert(
-            "seed".into(),
-            Value::Integer(self.seed.min(i64::MAX as u64) as i64),
-        );
+        meta.insert("replications".into(), int(self.replications));
+        meta.insert("seed".into(), int(self.seed));
         root.insert("scenario".into(), Value::Table(meta));
-        root.insert(
-            "system".into(),
-            Value::Table(system_to_table(&self.config.system)),
-        );
-        root.insert(
-            "database".into(),
-            Value::Table(database_to_table(&self.config.database)),
-        );
-        root.insert(
-            "workload".into(),
-            Value::Table(workload_to_table(&self.config.workload)),
-        );
+        for section in SECTIONS {
+            root.insert(section.into(), Value::Table(Table::new()));
+        }
+        for param in PARAMS {
+            let Some(value) = param.get.and_then(|get| get(&self.config)) else {
+                continue;
+            };
+            let (section, field) = param.key.split_once('.').expect("keys are dotted");
+            if let Some(Value::Table(table)) = root.get_mut(section) {
+                table.insert(field.into(), value);
+            }
+        }
         if !self.sweep.is_empty() {
             root.insert(
                 "sweep".into(),
@@ -323,9 +310,9 @@ impl Scenario {
     /// clamps the object base to `max_objects`, the measured run to
     /// `max_transactions`, a time-horizon phase to a few simulated
     /// seconds (warm-up scaled along), truncates every axis to
-    /// `max_axis_points` values, and clamps swept `database.objects` /
-    /// `workload.hot_transactions` values to the same caps (deduplicated,
-    /// order preserved). Used by the golden test over `scenarios/`.
+    /// `max_axis_points` values, and clamps swept values the same two
+    /// caps reach (deduplicated, order preserved). Used by the golden
+    /// test over `scenarios/`.
     pub fn shrink_for_smoke(
         &mut self,
         max_objects: usize,
@@ -335,11 +322,14 @@ impl Scenario {
         /// Horizon cap: long enough for tens of commits at preset
         /// arrival rates, short enough for debug-profile test runs.
         const MAX_DURATION_MS: f64 = 2_000.0;
+        let cap = |config: &mut ExperimentConfig| {
+            config.database.objects = config.database.objects.min(max_objects);
+            config.workload.hot_transactions =
+                config.workload.hot_transactions.min(max_transactions);
+        };
+        cap(&mut self.config);
         let db = &mut self.config.database;
-        db.objects = db.objects.min(max_objects);
         db.classes = db.classes.min(db.objects.max(1));
-        self.config.workload.hot_transactions =
-            self.config.workload.hot_transactions.min(max_transactions);
         let wl = &mut self.config.workload;
         if wl.duration_ms > MAX_DURATION_MS {
             wl.warmup_ms *= MAX_DURATION_MS / wl.duration_ms;
@@ -347,24 +337,27 @@ impl Scenario {
         }
         for axis in &mut self.sweep {
             axis.values.truncate(max_axis_points.max(1));
-            let cap = match axis.param.as_str() {
-                "database.objects" => Some(max_objects as i64),
-                "workload.hot_transactions" => Some(max_transactions as i64),
-                _ => None,
+            let Some(get) = param(&axis.param).and_then(|p| p.get) else {
+                continue;
             };
-            if let Some(cap) = cap {
-                let mut seen = Vec::new();
-                for value in std::mem::take(&mut axis.values) {
-                    let clamped = match value {
-                        Value::Integer(n) => Value::Integer(n.min(cap)),
-                        other => other,
-                    };
-                    if !seen.contains(&clamped) {
-                        seen.push(clamped);
+            let mut kept = Vec::new();
+            for mut value in std::mem::take(&mut axis.values) {
+                // Apply the value, cap, and read it back: a value the
+                // caps changed is replaced by its capped form.
+                let mut probe = self.config.clone();
+                if apply_param(&mut probe, &axis.param, &value).is_ok() {
+                    let before = get(&probe);
+                    cap(&mut probe);
+                    if let Some(after) = get(&probe).filter(|after| Some(after) != before.as_ref())
+                    {
+                        value = after;
                     }
                 }
-                axis.values = seen;
+                if !kept.contains(&value) {
+                    kept.push(value);
+                }
             }
+            axis.values = kept;
         }
     }
 }
@@ -409,281 +402,443 @@ fn bad(section: &str, key: &str, expected: &str, got: &Value) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Parameter application — one function shared by section parsing and
-// sweep axes, so every settable key is automatically sweepable.
+// The parameter table — one entry per key, shared by section parsing,
+// sweep axes, serialization and the `voodb params` listing, so every
+// settable key is automatically sweepable and round-trips.
 // ---------------------------------------------------------------------------
 
-/// `(key, expected value, meaning)` for every supported parameter,
-/// printed by `voodb validate --help` and the README.
-pub const PARAM_HELP: &[(&str, &str, &str)] = &[
+/// One scenario parameter: its dotted key, its `voodb params` help, and
+/// how it is written and read.
+pub struct Param {
+    /// Section-qualified key, e.g. `system.page_size`.
+    pub key: &'static str,
+    /// Expected value shape: `integer`, `float`, `float|inf`, `string`
+    /// or `boolean`.
+    pub shape: &'static str,
+    /// What the key means (with the paper's parameter name, if any).
+    pub meaning: &'static str,
+    /// Parses and stores a value.
+    pub set: fn(&mut ExperimentConfig, &Value) -> Result<(), String>,
+    /// Reads the canonical value back; `None` for the write-only
+    /// aliases (`cache_mb`, `memory_mb`, `disk`), which set other keys.
+    /// The getter itself returns `None` where the key does not apply
+    /// (the `dstc_*` keys unless `CLUSTP` is DSTC).
+    pub get: Option<fn(&ExperimentConfig) -> Option<Value>>,
+}
+
+/// The sections a parameter key can live in.
+const SECTIONS: [&str; 3] = ["system", "database", "workload"];
+
+/// Every supported parameter, printed by `voodb params` and the README.
+pub const PARAMS: &[Param] = &[
     // [system] — Table 3.
-    (
-        "system.system_class",
-        "string",
-        "SYSCLASS: centralized | object-server | page-server | db-server | hybrid-N (N servers)",
-    ),
-    (
-        "system.network_throughput_mbps",
-        "float|inf",
-        "NETTHRU: network throughput in MB/s",
-    ),
-    (
-        "system.page_size",
-        "integer",
-        "PGSIZE: disk page size in bytes",
-    ),
-    (
-        "system.buffer_pages",
-        "integer",
-        "BUFFSIZE: buffer size in pages",
-    ),
-    (
-        "system.cache_mb",
-        "integer",
-        "BUFFSIZE via the O2 convention (240 frames/MB)",
-    ),
-    (
-        "system.memory_mb",
-        "integer",
-        "BUFFSIZE via the Texas convention (230 frames/MB)",
-    ),
-    (
-        "system.page_replacement",
-        "string",
-        "PGREP: random-SEED | fifo | lru | lru-K | lfu | clock | gclock-W",
-    ),
-    (
-        "system.prefetch",
-        "string",
-        "PREFETCH: none | sequential-W (window of W pages)",
-    ),
-    (
-        "system.clustering",
-        "string",
-        "CLUSTP: none | dstc | static-graph-N (max cluster size N)",
-    ),
-    (
-        "system.dstc_observation_period",
-        "integer",
-        "DSTC observation period, in object accesses",
-    ),
-    (
-        "system.dstc_tfa",
-        "float",
-        "DSTC elementary filtering threshold Tfa",
-    ),
-    (
-        "system.dstc_tfc",
-        "float",
-        "DSTC consolidation threshold Tfc",
-    ),
-    ("system.dstc_tfe", "float", "DSTC extraction threshold Tfe"),
-    ("system.dstc_w", "float", "DSTC ageing factor w"),
-    (
-        "system.dstc_max_unit_size",
-        "integer",
-        "DSTC maximum objects per clustering unit",
-    ),
-    (
-        "system.dstc_trigger_threshold",
-        "integer",
-        "DSTC flagged-object count arming automatic reorganisation",
-    ),
-    (
-        "system.initial_placement",
-        "string",
-        "INITPL: sequential | optimized-sequential | random-SEED",
-    ),
-    (
-        "system.disk",
-        "string",
-        "disk timing preset: table3 | o2 | texas",
-    ),
-    (
-        "system.disk_search_ms",
-        "float",
-        "DISKSEA: head search time, ms",
-    ),
-    (
-        "system.disk_latency_ms",
-        "float",
-        "DISKLAT: rotational latency, ms",
-    ),
-    (
-        "system.disk_transfer_ms",
-        "float",
-        "DISKTRA: page transfer time, ms",
-    ),
-    (
-        "system.multiprogramming_level",
-        "integer",
-        "MULTILVL: transactions served concurrently",
-    ),
-    (
-        "system.get_lock_ms",
-        "float",
-        "GETLOCK: lock acquisition time, ms",
-    ),
-    (
-        "system.release_lock_ms",
-        "float",
-        "RELLOCK: lock release time, ms",
-    ),
-    ("system.users", "integer", "NUSERS: simulated users"),
-    (
-        "system.swizzle",
-        "boolean",
-        "Texas-style pointer-swizzling loading policy",
-    ),
+    Param {
+        key: "system.system_class",
+        shape: "string",
+        meaning: "SYSCLASS: centralized | object-server | page-server | db-server | hybrid-N (N servers)",
+        set: |c, v| put(&mut c.system.system_class, parse_system_class(str_of(v)?)?),
+        get: Some(|c| Some(Value::String(system_class_to_string(&c.system.system_class)))),
+    },
+    Param {
+        key: "system.network_throughput_mbps",
+        shape: "float|inf",
+        meaning: "NETTHRU: network throughput in MB/s",
+        set: |c, v| put(&mut c.system.network_throughput_mbps, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.system.network_throughput_mbps))),
+    },
+    Param {
+        key: "system.page_size",
+        shape: "integer",
+        meaning: "PGSIZE: disk page size in bytes",
+        set: |c, v| put(&mut c.system.page_size, u32_of(v)?),
+        get: Some(|c| Some(int(c.system.page_size))),
+    },
+    Param {
+        key: "system.buffer_pages",
+        shape: "integer",
+        meaning: "BUFFSIZE: buffer size in pages",
+        set: |c, v| put(&mut c.system.buffer_pages, usize_of(v)?),
+        get: Some(|c| Some(int(c.system.buffer_pages))),
+    },
+    Param {
+        key: "system.cache_mb",
+        shape: "integer",
+        meaning: "BUFFSIZE via the O2 convention (240 frames/MB)",
+        set: |c, v| put(&mut c.system.buffer_pages, frames_of(v, O2_FRAMES_PER_MB)?),
+        get: None,
+    },
+    Param {
+        key: "system.memory_mb",
+        shape: "integer",
+        meaning: "BUFFSIZE via the Texas convention (230 frames/MB)",
+        set: |c, v| put(&mut c.system.buffer_pages, frames_of(v, TEXAS_FRAMES_PER_MB)?),
+        get: None,
+    },
+    Param {
+        key: "system.page_replacement",
+        shape: "string",
+        meaning: "PGREP: random-SEED | fifo | lru | lru-K | lfu | clock | gclock-W",
+        set: |c, v| put(&mut c.system.page_replacement, parse_policy(str_of(v)?)?),
+        get: Some(|c| Some(Value::String(policy_to_string(&c.system.page_replacement)))),
+    },
+    Param {
+        key: "system.prefetch",
+        shape: "string",
+        meaning: "PREFETCH: none | sequential-W (window of W pages)",
+        set: |c, v| put(&mut c.system.prefetch, parse_prefetch(str_of(v)?)?),
+        get: Some(|c| Some(Value::String(prefetch_to_string(&c.system.prefetch)))),
+    },
+    Param {
+        key: "system.clustering",
+        shape: "string",
+        meaning: "CLUSTP: none | dstc | static-graph-N (max cluster size N)",
+        set: |c, v| {
+            let kind = parse_clustering(str_of(v)?, &c.system.clustering)?;
+            put(&mut c.system.clustering, kind)
+        },
+        get: Some(|c| Some(Value::String(clustering_to_string(&c.system.clustering)))),
+    },
+    Param {
+        key: "system.dstc_observation_period",
+        shape: "integer",
+        meaning: "DSTC observation period, in object accesses",
+        set: |c, v| put(&mut dstc_params(&mut c.system).observation_period, usize_of(v)? as u64),
+        get: Some(|c| dstc_of(c).map(|p| int(p.observation_period))),
+    },
+    Param {
+        key: "system.dstc_tfa",
+        shape: "float",
+        meaning: "DSTC elementary filtering threshold Tfa",
+        set: |c, v| put(&mut dstc_params(&mut c.system).tfa, f64_of(v)?),
+        get: Some(|c| dstc_of(c).map(|p| Value::Float(p.tfa))),
+    },
+    Param {
+        key: "system.dstc_tfc",
+        shape: "float",
+        meaning: "DSTC consolidation threshold Tfc",
+        set: |c, v| put(&mut dstc_params(&mut c.system).tfc, f64_of(v)?),
+        get: Some(|c| dstc_of(c).map(|p| Value::Float(p.tfc))),
+    },
+    Param {
+        key: "system.dstc_tfe",
+        shape: "float",
+        meaning: "DSTC extraction threshold Tfe",
+        set: |c, v| put(&mut dstc_params(&mut c.system).tfe, f64_of(v)?),
+        get: Some(|c| dstc_of(c).map(|p| Value::Float(p.tfe))),
+    },
+    Param {
+        key: "system.dstc_w",
+        shape: "float",
+        meaning: "DSTC ageing factor w",
+        set: |c, v| put(&mut dstc_params(&mut c.system).w, f64_of(v)?),
+        get: Some(|c| dstc_of(c).map(|p| Value::Float(p.w))),
+    },
+    Param {
+        key: "system.dstc_max_unit_size",
+        shape: "integer",
+        meaning: "DSTC maximum objects per clustering unit",
+        set: |c, v| put(&mut dstc_params(&mut c.system).max_unit_size, usize_of(v)?),
+        get: Some(|c| dstc_of(c).map(|p| int(p.max_unit_size))),
+    },
+    Param {
+        key: "system.dstc_trigger_threshold",
+        shape: "integer",
+        meaning: "DSTC flagged-object count arming automatic reorganisation",
+        set: |c, v| put(&mut dstc_params(&mut c.system).trigger_threshold, usize_of(v)?),
+        get: Some(|c| dstc_of(c).map(|p| int(p.trigger_threshold))),
+    },
+    Param {
+        key: "system.initial_placement",
+        shape: "string",
+        meaning: "INITPL: sequential | optimized-sequential | random-SEED",
+        set: |c, v| put(&mut c.system.initial_placement, parse_placement(str_of(v)?)?),
+        get: Some(|c| Some(Value::String(placement_to_string(&c.system.initial_placement)))),
+    },
+    Param {
+        key: "system.disk",
+        shape: "string",
+        meaning: "disk timing preset: table3 | o2 | texas",
+        set: |c, v| put(&mut c.system.disk, parse_disk_preset(str_of(v)?)?),
+        get: None,
+    },
+    Param {
+        key: "system.disk_search_ms",
+        shape: "float",
+        meaning: "DISKSEA: head search time, ms",
+        set: |c, v| put(&mut c.system.disk.search_ms, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.system.disk.search_ms))),
+    },
+    Param {
+        key: "system.disk_latency_ms",
+        shape: "float",
+        meaning: "DISKLAT: rotational latency, ms",
+        set: |c, v| put(&mut c.system.disk.latency_ms, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.system.disk.latency_ms))),
+    },
+    Param {
+        key: "system.disk_transfer_ms",
+        shape: "float",
+        meaning: "DISKTRA: page transfer time, ms",
+        set: |c, v| put(&mut c.system.disk.transfer_ms, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.system.disk.transfer_ms))),
+    },
+    Param {
+        key: "system.multiprogramming_level",
+        shape: "integer",
+        meaning: "MULTILVL: transactions served concurrently",
+        set: |c, v| put(&mut c.system.multiprogramming_level, usize_of(v)?),
+        get: Some(|c| Some(int(c.system.multiprogramming_level))),
+    },
+    Param {
+        key: "system.get_lock_ms",
+        shape: "float",
+        meaning: "GETLOCK: lock acquisition time, ms",
+        set: |c, v| put(&mut c.system.get_lock_ms, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.system.get_lock_ms))),
+    },
+    Param {
+        key: "system.release_lock_ms",
+        shape: "float",
+        meaning: "RELLOCK: lock release time, ms",
+        set: |c, v| put(&mut c.system.release_lock_ms, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.system.release_lock_ms))),
+    },
+    Param {
+        key: "system.users",
+        shape: "integer",
+        meaning: "NUSERS: simulated users",
+        set: |c, v| put(&mut c.system.users, usize_of(v)?),
+        get: Some(|c| Some(int(c.system.users))),
+    },
+    Param {
+        key: "system.swizzle",
+        shape: "boolean",
+        meaning: "Texas-style pointer-swizzling loading policy",
+        set: |c, v| put(&mut c.system.swizzle, bool_of(v)?),
+        get: Some(|c| Some(Value::Bool(c.system.swizzle))),
+    },
     // [database] — OCB schema/instances.
-    ("database.classes", "integer", "NC: classes in the schema"),
-    (
-        "database.max_refs",
-        "integer",
-        "MAXNREF: max references per class",
-    ),
-    (
-        "database.base_size",
-        "integer",
-        "BASESIZE: base instance size increment, bytes",
-    ),
-    (
-        "database.size_factor",
-        "integer",
-        "SIZEFACTOR: instance size = BASESIZE x U[1, SIZEFACTOR]",
-    ),
-    ("database.objects", "integer", "NO: total instances"),
-    ("database.ref_types", "integer", "NREFT: reference types"),
-    (
-        "database.class_locality",
-        "integer",
-        "CLOCREF: class locality window",
-    ),
-    (
-        "database.object_locality",
-        "integer",
-        "OLOCREF: object locality window",
-    ),
-    (
-        "database.instance_dist",
-        "string",
-        "DIST_CLASS: uniform | zipf-THETA",
-    ),
-    (
-        "database.ref_dist",
-        "string",
-        "DIST_REF: uniform | zipf-THETA",
-    ),
+    Param {
+        key: "database.classes",
+        shape: "integer",
+        meaning: "NC: classes in the schema",
+        set: |c, v| put(&mut c.database.classes, usize_of(v)?),
+        get: Some(|c| Some(int(c.database.classes))),
+    },
+    Param {
+        key: "database.max_refs",
+        shape: "integer",
+        meaning: "MAXNREF: max references per class",
+        set: |c, v| put(&mut c.database.max_refs, usize_of(v)?),
+        get: Some(|c| Some(int(c.database.max_refs))),
+    },
+    Param {
+        key: "database.base_size",
+        shape: "integer",
+        meaning: "BASESIZE: base instance size increment, bytes",
+        set: |c, v| put(&mut c.database.base_size, u32_of(v)?),
+        get: Some(|c| Some(int(c.database.base_size))),
+    },
+    Param {
+        key: "database.size_factor",
+        shape: "integer",
+        meaning: "SIZEFACTOR: instance size = BASESIZE x U[1, SIZEFACTOR]",
+        set: |c, v| put(&mut c.database.size_factor, u32_of(v)?),
+        get: Some(|c| Some(int(c.database.size_factor))),
+    },
+    Param {
+        key: "database.objects",
+        shape: "integer",
+        meaning: "NO: total instances",
+        set: |c, v| put(&mut c.database.objects, usize_of(v)?),
+        get: Some(|c| Some(int(c.database.objects))),
+    },
+    Param {
+        key: "database.ref_types",
+        shape: "integer",
+        meaning: "NREFT: reference types",
+        set: |c, v| put(&mut c.database.ref_types, usize_of(v)?),
+        get: Some(|c| Some(int(c.database.ref_types))),
+    },
+    Param {
+        key: "database.class_locality",
+        shape: "integer",
+        meaning: "CLOCREF: class locality window",
+        set: |c, v| put(&mut c.database.class_locality, usize_of(v)?),
+        get: Some(|c| Some(int(c.database.class_locality))),
+    },
+    Param {
+        key: "database.object_locality",
+        shape: "integer",
+        meaning: "OLOCREF: object locality window",
+        set: |c, v| put(&mut c.database.object_locality, usize_of(v)?),
+        get: Some(|c| Some(int(c.database.object_locality))),
+    },
+    Param {
+        key: "database.instance_dist",
+        shape: "string",
+        meaning: "DIST_CLASS: uniform | zipf-THETA",
+        set: |c, v| put(&mut c.database.instance_dist, parse_selection(str_of(v)?)?),
+        get: Some(|c| Some(Value::String(selection_to_string(&c.database.instance_dist)))),
+    },
+    Param {
+        key: "database.ref_dist",
+        shape: "string",
+        meaning: "DIST_REF: uniform | zipf-THETA",
+        set: |c, v| put(&mut c.database.ref_dist, parse_selection(str_of(v)?)?),
+        get: Some(|c| Some(Value::String(selection_to_string(&c.database.ref_dist)))),
+    },
     // [workload] — OCB transactions (Table 5).
-    (
-        "workload.users",
-        "integer",
-        "concurrent users of the workload",
-    ),
-    (
-        "workload.user_model",
-        "string",
-        "USERREP: per-user (small-N oracle) | cohort (O(in-flight + cohorts) memory, scales to 1M users)",
-    ),
-    (
-        "workload.cold_transactions",
-        "integer",
-        "COLDN: unmeasured cold-run transactions",
-    ),
-    (
-        "workload.hot_transactions",
-        "integer",
-        "HOTN: measured warm-run transactions",
-    ),
-    (
-        "workload.p_set",
-        "float",
-        "PSET: set-oriented access probability",
-    ),
-    (
-        "workload.p_simple",
-        "float",
-        "PSIMPLE: simple traversal probability",
-    ),
-    (
-        "workload.p_hierarchy",
-        "float",
-        "PHIER: hierarchy traversal probability",
-    ),
-    (
-        "workload.p_stochastic",
-        "float",
-        "PSTOCH: stochastic traversal probability",
-    ),
-    (
-        "workload.set_depth",
-        "integer",
-        "SETDEPTH: set-oriented access depth",
-    ),
-    (
-        "workload.simple_depth",
-        "integer",
-        "SIMDEPTH: simple traversal depth",
-    ),
-    (
-        "workload.hierarchy_depth",
-        "integer",
-        "HIEDEPTH: hierarchy traversal depth",
-    ),
-    (
-        "workload.stochastic_depth",
-        "integer",
-        "STODEPTH: stochastic traversal depth",
-    ),
-    (
-        "workload.p_write",
-        "float",
-        "PWRITE: per-access update probability",
-    ),
-    (
-        "workload.root_dist",
-        "string",
-        "ROOTDIST: uniform | zipf-THETA | hotset-FRACTION-PHOT",
-    ),
-    (
-        "workload.think_time_ms",
-        "float",
-        "THINKTIME: mean think time, ms",
-    ),
-    (
-        "workload.arrival",
-        "string",
-        "ARRIVAL: closed | poisson-RATE (tx/s, open system) | deterministic-MS (interarrival)",
-    ),
-    (
-        "workload.duration_ms",
-        "float",
-        "DURATION: time-horizon phase length in simulated ms (0 = count-based COLDN/HOTN)",
-    ),
-    (
-        "workload.warmup_ms",
-        "float",
-        "WARMUP: unmeasured warm-up prefix of a time-horizon phase, ms",
-    ),
+    Param {
+        key: "workload.users",
+        shape: "integer",
+        meaning: "concurrent users of the workload",
+        set: |c, v| put(&mut c.workload.users, usize_of(v)?),
+        get: Some(|c| Some(int(c.workload.users))),
+    },
+    Param {
+        key: "workload.user_model",
+        shape: "string",
+        meaning: "USERREP: per-user (small-N oracle) | cohort (O(in-flight + cohorts) memory, scales to 1M users)",
+        set: |c, v| put(&mut c.workload.user_model, str_of(v)?.parse()?),
+        get: Some(|c| Some(Value::String(c.workload.user_model.name().into()))),
+    },
+    Param {
+        key: "workload.cold_transactions",
+        shape: "integer",
+        meaning: "COLDN: unmeasured cold-run transactions",
+        set: |c, v| put(&mut c.workload.cold_transactions, usize_of(v)?),
+        get: Some(|c| Some(int(c.workload.cold_transactions))),
+    },
+    Param {
+        key: "workload.hot_transactions",
+        shape: "integer",
+        meaning: "HOTN: measured warm-run transactions",
+        set: |c, v| put(&mut c.workload.hot_transactions, usize_of(v)?),
+        get: Some(|c| Some(int(c.workload.hot_transactions))),
+    },
+    Param {
+        key: "workload.p_set",
+        shape: "float",
+        meaning: "PSET: set-oriented access probability",
+        set: |c, v| put(&mut c.workload.p_set, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.workload.p_set))),
+    },
+    Param {
+        key: "workload.p_simple",
+        shape: "float",
+        meaning: "PSIMPLE: simple traversal probability",
+        set: |c, v| put(&mut c.workload.p_simple, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.workload.p_simple))),
+    },
+    Param {
+        key: "workload.p_hierarchy",
+        shape: "float",
+        meaning: "PHIER: hierarchy traversal probability",
+        set: |c, v| put(&mut c.workload.p_hierarchy, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.workload.p_hierarchy))),
+    },
+    Param {
+        key: "workload.p_stochastic",
+        shape: "float",
+        meaning: "PSTOCH: stochastic traversal probability",
+        set: |c, v| put(&mut c.workload.p_stochastic, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.workload.p_stochastic))),
+    },
+    Param {
+        key: "workload.set_depth",
+        shape: "integer",
+        meaning: "SETDEPTH: set-oriented access depth",
+        set: |c, v| put(&mut c.workload.set_depth, usize_of(v)?),
+        get: Some(|c| Some(int(c.workload.set_depth))),
+    },
+    Param {
+        key: "workload.simple_depth",
+        shape: "integer",
+        meaning: "SIMDEPTH: simple traversal depth",
+        set: |c, v| put(&mut c.workload.simple_depth, usize_of(v)?),
+        get: Some(|c| Some(int(c.workload.simple_depth))),
+    },
+    Param {
+        key: "workload.hierarchy_depth",
+        shape: "integer",
+        meaning: "HIEDEPTH: hierarchy traversal depth",
+        set: |c, v| put(&mut c.workload.hierarchy_depth, usize_of(v)?),
+        get: Some(|c| Some(int(c.workload.hierarchy_depth))),
+    },
+    Param {
+        key: "workload.stochastic_depth",
+        shape: "integer",
+        meaning: "STODEPTH: stochastic traversal depth",
+        set: |c, v| put(&mut c.workload.stochastic_depth, usize_of(v)?),
+        get: Some(|c| Some(int(c.workload.stochastic_depth))),
+    },
+    Param {
+        key: "workload.p_write",
+        shape: "float",
+        meaning: "PWRITE: per-access update probability",
+        set: |c, v| put(&mut c.workload.p_write, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.workload.p_write))),
+    },
+    Param {
+        key: "workload.root_dist",
+        shape: "string",
+        meaning: "ROOTDIST: uniform | zipf-THETA | hotset-FRACTION-PHOT",
+        set: |c, v| put(&mut c.workload.root_dist, parse_selection(str_of(v)?)?),
+        get: Some(|c| Some(Value::String(selection_to_string(&c.workload.root_dist)))),
+    },
+    Param {
+        key: "workload.think_time_ms",
+        shape: "float",
+        meaning: "THINKTIME: mean think time, ms",
+        set: |c, v| put(&mut c.workload.think_time_ms, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.workload.think_time_ms))),
+    },
+    Param {
+        key: "workload.arrival",
+        shape: "string",
+        meaning: "ARRIVAL: closed | poisson-RATE (tx/s, open system) | deterministic-MS (interarrival)",
+        set: |c, v| put(&mut c.workload.arrival, parse_arrival(str_of(v)?)?),
+        get: Some(|c| Some(Value::String(arrival_to_string(&c.workload.arrival)))),
+    },
+    Param {
+        key: "workload.duration_ms",
+        shape: "float",
+        meaning: "DURATION: time-horizon phase length in simulated ms (0 = count-based COLDN/HOTN)",
+        set: |c, v| put(&mut c.workload.duration_ms, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.workload.duration_ms))),
+    },
+    Param {
+        key: "workload.warmup_ms",
+        shape: "float",
+        meaning: "WARMUP: unmeasured warm-up prefix of a time-horizon phase, ms",
+        set: |c, v| put(&mut c.workload.warmup_ms, f64_of(v)?),
+        get: Some(|c| Some(Value::Float(c.workload.warmup_ms))),
+    },
 ];
 
-/// Renders [`PARAM_HELP`] as the `voodb params` listing: keys sorted
+/// The table entry for a dotted key.
+fn param(key: &str) -> Option<&'static Param> {
+    PARAMS.iter().find(|p| p.key == key)
+}
+
+/// Renders [`PARAMS`] as the `voodb params` listing: keys sorted
 /// lexicographically (which groups the `[database]`/`[system]`/
 /// `[workload]` sections), one section header per prefix. Deterministic
 /// by construction; pinned by the CLI golden test.
 pub fn params_help_text() -> String {
-    let mut entries: Vec<&(&str, &str, &str)> = PARAM_HELP.iter().collect();
-    entries.sort_by_key(|(key, _, _)| *key);
+    let mut entries: Vec<&Param> = PARAMS.iter().collect();
+    entries.sort_by_key(|p| p.key);
     let mut out =
         String::from("Supported scenario parameters (every key is also a valid sweep axis):\n");
     let mut last_section = "";
-    for (key, expected, meaning) in entries {
-        let section = key.split('.').next().unwrap_or("");
+    for p in entries {
+        let section = p.key.split('.').next().unwrap_or("");
         if section != last_section {
             out.push_str(&format!("\n[{section}]\n"));
             last_section = section;
         }
-        out.push_str(&format!("  {key:<36} {expected:<10} {meaning}\n"));
+        out.push_str(&format!("  {:<36} {:<10} {}\n", p.key, p.shape, p.meaning));
     }
     out
 }
@@ -698,16 +853,29 @@ pub fn apply_param(config: &mut ExperimentConfig, key: &str, value: &Value) -> R
     let (section, field) = key.split_once('.').ok_or_else(|| {
         format!("parameter '{key}' must be section-qualified (e.g. system.{key})")
     })?;
-    match section {
-        "system" => apply_system(&mut config.system, field, value),
-        "database" => apply_database(&mut config.database, field, value),
-        "workload" => apply_workload(&mut config.workload, field, value),
-        other => Err(format!(
-            "unknown section '{other}' in parameter '{key}' \
+    let applied = if !SECTIONS.contains(&section) {
+        Err(format!(
+            "unknown section '{section}' in parameter '{key}' \
              (expected system/database/workload)"
-        )),
-    }
-    .map_err(|e| format!("'{key}': {e}"))
+        ))
+    } else if let Some(param) = param(key) {
+        (param.set)(config, value)
+    } else {
+        Err(format!("unknown [{section}] key '{field}'"))
+    };
+    applied.map_err(|e| format!("'{key}': {e}"))
+}
+
+/// Stores a parsed value: the common tail of every setter.
+fn put<T>(slot: &mut T, value: T) -> Result<(), String> {
+    *slot = value;
+    Ok(())
+}
+
+/// A TOML integer. TOML integers are i64; out-of-range values clamp (a
+/// parsed scenario can never hold one, so round-trips are unaffected).
+fn int<T: TryInto<i64>>(n: T) -> Value {
+    Value::Integer(n.try_into().unwrap_or(i64::MAX))
 }
 
 fn want<T>(value: Option<T>, expected: &str, got: &Value) -> Result<T, String> {
@@ -720,6 +888,20 @@ fn f64_of(v: &Value) -> Result<f64, String> {
 
 fn usize_of(v: &Value) -> Result<usize, String> {
     want(v.as_usize(), "a non-negative integer", v)
+}
+
+fn u32_of(v: &Value) -> Result<u32, String> {
+    let n = usize_of(v)?;
+    u32::try_from(n).map_err(|_| format!("expected an integer up to {}, got {n}", u32::MAX))
+}
+
+/// Buffer frames for a `*_mb` alias: `mb` MB at `per_mb` frames each,
+/// at least 8 (as [`VoodbParams::o2`] and [`VoodbParams::texas`]).
+fn frames_of(v: &Value, per_mb: usize) -> Result<usize, String> {
+    let mb = usize_of(v)?;
+    mb.checked_mul(per_mb)
+        .map(|frames| frames.max(8))
+        .ok_or_else(|| format!("{mb} MB is too large a buffer"))
 }
 
 fn str_of(v: &Value) -> Result<&str, String> {
@@ -884,297 +1066,90 @@ fn dstc_params(system: &mut VoodbParams) -> &mut DstcParams {
     }
 }
 
-fn apply_system(system: &mut VoodbParams, field: &str, v: &Value) -> Result<(), String> {
-    match field {
-        "system_class" => system.system_class = parse_system_class(str_of(v)?)?,
-        "network_throughput_mbps" => system.network_throughput_mbps = f64_of(v)?,
-        "page_size" => system.page_size = usize_of(v)? as u32,
-        "buffer_pages" => system.buffer_pages = usize_of(v)?,
-        "cache_mb" => system.buffer_pages = (usize_of(v)? * O2_FRAMES_PER_MB).max(8),
-        "memory_mb" => system.buffer_pages = (usize_of(v)? * TEXAS_FRAMES_PER_MB).max(8),
-        "page_replacement" => system.page_replacement = parse_policy(str_of(v)?)?,
-        "prefetch" => {
-            let raw = str_of(v)?;
-            system.prefetch = match raw {
-                "none" => PrefetchKind::None,
-                other if other.starts_with("sequential") => PrefetchKind::Sequential {
-                    window: suffix_of(other, "sequential")?,
-                },
-                other => return Err(format!("unknown prefetch '{other}' (none | sequential-W)")),
-            };
-        }
-        "clustering" => {
-            let raw = str_of(v)?;
-            system.clustering = match raw {
-                "none" => ClusteringKind::None,
-                "dstc" => ClusteringKind::Dstc(match &system.clustering {
-                    // Keep dstc_* keys already applied in this section.
-                    ClusteringKind::Dstc(params) => params.clone(),
-                    _ => DstcParams::default(),
-                }),
-                other if other.starts_with("static-graph") => ClusteringKind::StaticGraph {
-                    max_cluster_size: suffix_of(other, "static-graph")?,
-                },
-                other => {
-                    return Err(format!(
-                        "unknown clustering '{other}' (none | dstc | static-graph-N)"
-                    ))
-                }
-            };
-        }
-        "dstc_observation_period" => dstc_params(system).observation_period = usize_of(v)? as u64,
-        "dstc_tfa" => dstc_params(system).tfa = f64_of(v)?,
-        "dstc_tfc" => dstc_params(system).tfc = f64_of(v)?,
-        "dstc_tfe" => dstc_params(system).tfe = f64_of(v)?,
-        "dstc_w" => dstc_params(system).w = f64_of(v)?,
-        "dstc_max_unit_size" => dstc_params(system).max_unit_size = usize_of(v)?,
-        "dstc_trigger_threshold" => dstc_params(system).trigger_threshold = usize_of(v)?,
-        "initial_placement" => {
-            let raw = str_of(v)?;
-            system.initial_placement = match raw {
-                "sequential" => InitialPlacement::Sequential,
-                "optimized-sequential" => InitialPlacement::OptimizedSequential,
-                other if other.starts_with("random") => InitialPlacement::Random {
-                    seed: suffix_of(other, "random")?,
-                },
-                other => {
-                    return Err(format!(
-                        "unknown placement '{other}' \
-                         (sequential | optimized-sequential | random-SEED)"
-                    ))
-                }
-            };
-        }
-        "disk" => {
-            system.disk = match str_of(v)? {
-                "table3" => DiskParams::table3_default(),
-                "o2" => DiskParams::o2(),
-                "texas" => DiskParams::texas(),
-                other => {
-                    return Err(format!(
-                        "unknown disk preset '{other}' (table3 | o2 | texas)"
-                    ))
-                }
-            };
-        }
-        "disk_search_ms" => system.disk.search_ms = f64_of(v)?,
-        "disk_latency_ms" => system.disk.latency_ms = f64_of(v)?,
-        "disk_transfer_ms" => system.disk.transfer_ms = f64_of(v)?,
-        "multiprogramming_level" => system.multiprogramming_level = usize_of(v)?,
-        "get_lock_ms" => system.get_lock_ms = f64_of(v)?,
-        "release_lock_ms" => system.release_lock_ms = f64_of(v)?,
-        "users" => system.users = usize_of(v)?,
-        "swizzle" => system.swizzle = bool_of(v)?,
-        other => return Err(format!("unknown [system] key '{other}'")),
+/// The DSTC tuning of a config, if `CLUSTP` is DSTC.
+fn dstc_of(config: &ExperimentConfig) -> Option<&DstcParams> {
+    match &config.system.clustering {
+        ClusteringKind::Dstc(params) => Some(params),
+        _ => None,
     }
-    Ok(())
 }
 
-fn apply_database(db: &mut ocb::DatabaseParams, field: &str, v: &Value) -> Result<(), String> {
-    match field {
-        "classes" => db.classes = usize_of(v)?,
-        "max_refs" => db.max_refs = usize_of(v)?,
-        "base_size" => db.base_size = usize_of(v)? as u32,
-        "size_factor" => db.size_factor = usize_of(v)? as u32,
-        "objects" => db.objects = usize_of(v)?,
-        "ref_types" => db.ref_types = usize_of(v)?,
-        "class_locality" => db.class_locality = usize_of(v)?,
-        "object_locality" => db.object_locality = usize_of(v)?,
-        "instance_dist" => db.instance_dist = parse_selection(str_of(v)?)?,
-        "ref_dist" => db.ref_dist = parse_selection(str_of(v)?)?,
-        other => return Err(format!("unknown [database] key '{other}'")),
-    }
-    Ok(())
-}
-
-fn apply_workload(wl: &mut ocb::WorkloadParams, field: &str, v: &Value) -> Result<(), String> {
-    match field {
-        "users" => wl.users = usize_of(v)?,
-        "user_model" => wl.user_model = str_of(v)?.parse()?,
-        "cold_transactions" => wl.cold_transactions = usize_of(v)?,
-        "hot_transactions" => wl.hot_transactions = usize_of(v)?,
-        "p_set" => wl.p_set = f64_of(v)?,
-        "p_simple" => wl.p_simple = f64_of(v)?,
-        "p_hierarchy" => wl.p_hierarchy = f64_of(v)?,
-        "p_stochastic" => wl.p_stochastic = f64_of(v)?,
-        "set_depth" => wl.set_depth = usize_of(v)?,
-        "simple_depth" => wl.simple_depth = usize_of(v)?,
-        "hierarchy_depth" => wl.hierarchy_depth = usize_of(v)?,
-        "stochastic_depth" => wl.stochastic_depth = usize_of(v)?,
-        "p_write" => wl.p_write = f64_of(v)?,
-        "root_dist" => wl.root_dist = parse_selection(str_of(v)?)?,
-        "think_time_ms" => wl.think_time_ms = f64_of(v)?,
-        "arrival" => wl.arrival = parse_arrival(str_of(v)?)?,
-        "duration_ms" => wl.duration_ms = f64_of(v)?,
-        "warmup_ms" => wl.warmup_ms = f64_of(v)?,
-        other => return Err(format!("unknown [workload] key '{other}'")),
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Serialization of the parameter groups (inverse of apply_*).
-// ---------------------------------------------------------------------------
-
-fn system_to_table(system: &VoodbParams) -> Table {
-    let mut t = Table::new();
-    t.insert(
-        "system_class".into(),
-        Value::String(system_class_to_string(&system.system_class)),
-    );
-    t.insert(
-        "network_throughput_mbps".into(),
-        Value::Float(system.network_throughput_mbps),
-    );
-    t.insert("page_size".into(), Value::Integer(system.page_size as i64));
-    t.insert(
-        "buffer_pages".into(),
-        Value::Integer(system.buffer_pages as i64),
-    );
-    t.insert(
-        "page_replacement".into(),
-        Value::String(policy_to_string(&system.page_replacement)),
-    );
-    t.insert(
-        "prefetch".into(),
-        Value::String(match system.prefetch {
-            PrefetchKind::None => "none".into(),
-            PrefetchKind::Sequential { window } => format!("sequential-{window}"),
+fn parse_prefetch(raw: &str) -> Result<PrefetchKind, String> {
+    match raw {
+        "none" => Ok(PrefetchKind::None),
+        other if other.starts_with("sequential") => Ok(PrefetchKind::Sequential {
+            window: suffix_of(other, "sequential")?,
         }),
-    );
-    match &system.clustering {
-        ClusteringKind::None => {
-            t.insert("clustering".into(), Value::String("none".into()));
-        }
-        ClusteringKind::Dstc(p) => {
-            t.insert("clustering".into(), Value::String("dstc".into()));
-            t.insert(
-                "dstc_observation_period".into(),
-                Value::Integer(p.observation_period.min(i64::MAX as u64) as i64),
-            );
-            t.insert("dstc_tfa".into(), Value::Float(p.tfa));
-            t.insert("dstc_tfc".into(), Value::Float(p.tfc));
-            t.insert("dstc_tfe".into(), Value::Float(p.tfe));
-            t.insert("dstc_w".into(), Value::Float(p.w));
-            t.insert(
-                "dstc_max_unit_size".into(),
-                Value::Integer(p.max_unit_size as i64),
-            );
-            t.insert(
-                "dstc_trigger_threshold".into(),
-                Value::Integer(p.trigger_threshold.min(i64::MAX as usize) as i64),
-            );
-        }
+        other => Err(format!("unknown prefetch '{other}' (none | sequential-W)")),
+    }
+}
+
+fn prefetch_to_string(prefetch: &PrefetchKind) -> String {
+    match prefetch {
+        PrefetchKind::None => "none".into(),
+        PrefetchKind::Sequential { window } => format!("sequential-{window}"),
+    }
+}
+
+/// Parses `CLUSTP`; `dstc` keeps the DSTC tuning of `current`, so
+/// `dstc_*` keys applied before it in a section survive.
+fn parse_clustering(raw: &str, current: &ClusteringKind) -> Result<ClusteringKind, String> {
+    match raw {
+        "none" => Ok(ClusteringKind::None),
+        "dstc" => Ok(ClusteringKind::Dstc(match current {
+            ClusteringKind::Dstc(params) => params.clone(),
+            _ => DstcParams::default(),
+        })),
+        other if other.starts_with("static-graph") => Ok(ClusteringKind::StaticGraph {
+            max_cluster_size: suffix_of(other, "static-graph")?,
+        }),
+        other => Err(format!(
+            "unknown clustering '{other}' (none | dstc | static-graph-N)"
+        )),
+    }
+}
+
+fn clustering_to_string(clustering: &ClusteringKind) -> String {
+    match clustering {
+        ClusteringKind::None => "none".into(),
+        ClusteringKind::Dstc(_) => "dstc".into(),
         ClusteringKind::StaticGraph { max_cluster_size } => {
-            t.insert(
-                "clustering".into(),
-                Value::String(format!("static-graph-{max_cluster_size}")),
-            );
+            format!("static-graph-{max_cluster_size}")
         }
     }
-    t.insert(
-        "initial_placement".into(),
-        Value::String(match system.initial_placement {
-            InitialPlacement::Sequential => "sequential".into(),
-            InitialPlacement::OptimizedSequential => "optimized-sequential".into(),
-            InitialPlacement::Random { seed } => format!("random-{seed}"),
+}
+
+fn parse_placement(raw: &str) -> Result<InitialPlacement, String> {
+    match raw {
+        "sequential" => Ok(InitialPlacement::Sequential),
+        "optimized-sequential" => Ok(InitialPlacement::OptimizedSequential),
+        other if other.starts_with("random") => Ok(InitialPlacement::Random {
+            seed: suffix_of(other, "random")?,
         }),
-    );
-    t.insert("disk_search_ms".into(), Value::Float(system.disk.search_ms));
-    t.insert(
-        "disk_latency_ms".into(),
-        Value::Float(system.disk.latency_ms),
-    );
-    t.insert(
-        "disk_transfer_ms".into(),
-        Value::Float(system.disk.transfer_ms),
-    );
-    t.insert(
-        "multiprogramming_level".into(),
-        Value::Integer(system.multiprogramming_level as i64),
-    );
-    t.insert("get_lock_ms".into(), Value::Float(system.get_lock_ms));
-    t.insert(
-        "release_lock_ms".into(),
-        Value::Float(system.release_lock_ms),
-    );
-    t.insert("users".into(), Value::Integer(system.users as i64));
-    t.insert("swizzle".into(), Value::Bool(system.swizzle));
-    t
+        other => Err(format!(
+            "unknown placement '{other}' \
+             (sequential | optimized-sequential | random-SEED)"
+        )),
+    }
 }
 
-fn database_to_table(db: &ocb::DatabaseParams) -> Table {
-    let mut t = Table::new();
-    t.insert("classes".into(), Value::Integer(db.classes as i64));
-    t.insert("max_refs".into(), Value::Integer(db.max_refs as i64));
-    t.insert("base_size".into(), Value::Integer(db.base_size as i64));
-    t.insert("size_factor".into(), Value::Integer(db.size_factor as i64));
-    t.insert("objects".into(), Value::Integer(db.objects as i64));
-    t.insert("ref_types".into(), Value::Integer(db.ref_types as i64));
-    t.insert(
-        "class_locality".into(),
-        Value::Integer(db.class_locality as i64),
-    );
-    t.insert(
-        "object_locality".into(),
-        Value::Integer(db.object_locality as i64),
-    );
-    t.insert(
-        "instance_dist".into(),
-        Value::String(selection_to_string(&db.instance_dist)),
-    );
-    t.insert(
-        "ref_dist".into(),
-        Value::String(selection_to_string(&db.ref_dist)),
-    );
-    t
+fn placement_to_string(placement: &InitialPlacement) -> String {
+    match placement {
+        InitialPlacement::Sequential => "sequential".into(),
+        InitialPlacement::OptimizedSequential => "optimized-sequential".into(),
+        InitialPlacement::Random { seed } => format!("random-{seed}"),
+    }
 }
 
-fn workload_to_table(wl: &ocb::WorkloadParams) -> Table {
-    let mut t = Table::new();
-    t.insert("users".into(), Value::Integer(wl.users as i64));
-    t.insert(
-        "user_model".into(),
-        Value::String(wl.user_model.name().into()),
-    );
-    t.insert(
-        "cold_transactions".into(),
-        Value::Integer(wl.cold_transactions as i64),
-    );
-    t.insert(
-        "hot_transactions".into(),
-        Value::Integer(wl.hot_transactions as i64),
-    );
-    t.insert("p_set".into(), Value::Float(wl.p_set));
-    t.insert("p_simple".into(), Value::Float(wl.p_simple));
-    t.insert("p_hierarchy".into(), Value::Float(wl.p_hierarchy));
-    t.insert("p_stochastic".into(), Value::Float(wl.p_stochastic));
-    t.insert("set_depth".into(), Value::Integer(wl.set_depth as i64));
-    t.insert(
-        "simple_depth".into(),
-        Value::Integer(wl.simple_depth as i64),
-    );
-    t.insert(
-        "hierarchy_depth".into(),
-        Value::Integer(wl.hierarchy_depth as i64),
-    );
-    t.insert(
-        "stochastic_depth".into(),
-        Value::Integer(wl.stochastic_depth as i64),
-    );
-    t.insert("p_write".into(), Value::Float(wl.p_write));
-    t.insert(
-        "root_dist".into(),
-        Value::String(selection_to_string(&wl.root_dist)),
-    );
-    t.insert("think_time_ms".into(), Value::Float(wl.think_time_ms));
-    t.insert(
-        "arrival".into(),
-        Value::String(arrival_to_string(&wl.arrival)),
-    );
-    t.insert("duration_ms".into(), Value::Float(wl.duration_ms));
-    t.insert("warmup_ms".into(), Value::Float(wl.warmup_ms));
-    t
+fn parse_disk_preset(raw: &str) -> Result<DiskParams, String> {
+    match raw {
+        "table3" => Ok(DiskParams::table3_default()),
+        "o2" => Ok(DiskParams::o2()),
+        "texas" => Ok(DiskParams::texas()),
+        other => Err(format!(
+            "unknown disk preset '{other}' (table3 | o2 | texas)"
+        )),
+    }
 }
 
 #[cfg(test)]
@@ -1254,6 +1229,96 @@ hot_transactions = 40
             }
             other => panic!("expected DSTC, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn clustering_configs_that_cannot_build_fail_to_parse() {
+        // Both used to validate and then panic inside a runner worker.
+        for (system, needle) in [
+            (
+                "clustering = \"dstc\"\ndstc_max_unit_size = 1",
+                "max_unit_size",
+            ),
+            ("clustering = \"static-graph-1\"", "static-graph"),
+        ] {
+            let text = format!("{MINIMAL}\n[system]\n{system}\n");
+            let err = Scenario::parse(&text).unwrap_err();
+            assert!(err.contains("clustering") && err.contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    fn every_key_is_listed_once_and_round_trips() {
+        let mut keys: Vec<&str> = PARAMS.iter().map(|p| p.key).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), PARAMS.len(), "duplicate key in PARAMS");
+        let mut config = Scenario::parse(MINIMAL).unwrap().config;
+        apply_param(
+            &mut config,
+            "system.clustering",
+            &Value::String("dstc".into()),
+        )
+        .unwrap();
+        for param in PARAMS {
+            let Some(get) = param.get else { continue };
+            let value = get(&config).expect("every getter applies under DSTC");
+            let mut copy = config.clone();
+            (param.set)(&mut copy, &value).unwrap();
+            assert_eq!(get(&copy), Some(value), "{}", param.key);
+        }
+    }
+
+    #[test]
+    fn extreme_numbers_are_rejected_or_kept_never_misread() {
+        let base = Scenario::parse(MINIMAL).unwrap().config;
+        for param in PARAMS {
+            let mut config = base.clone();
+            match param.shape {
+                "integer" => {
+                    let value = Value::Integer(i64::MAX);
+                    if apply_param(&mut config, param.key, &value).is_err() {
+                        continue;
+                    }
+                    if let Some(get) = param.get {
+                        assert_eq!(get(&config), Some(value), "{} misread", param.key);
+                    }
+                    let _ = config.validate(); // must not panic
+                }
+                "float" | "float|inf" => {
+                    let nan = Value::Float(f64::NAN);
+                    let rejected = apply_param(&mut config, param.key, &nan).is_err()
+                        || config.validate().is_err();
+                    assert!(rejected, "{} accepted NaN", param.key);
+                }
+                _ => {}
+            }
+        }
+        // The write-only aliases have no getter: their overflow must be
+        // an error, not a wrapped buffer size.
+        for key in ["system.cache_mb", "system.memory_mb"] {
+            let mut config = base.clone();
+            let err = apply_param(&mut config, key, &Value::Integer(i64::MAX)).unwrap_err();
+            assert!(err.contains("too large"), "{err}");
+        }
+        // A page size past u32 is refused, not truncated to 4096.
+        let mut config = base.clone();
+        let err = apply_param(
+            &mut config,
+            "system.page_size",
+            &Value::Integer(4_294_971_392),
+        )
+        .unwrap_err();
+        assert!(err.contains("page_size"), "{err}");
+        // +inf stays legal for the network throughput.
+        let mut config = base;
+        apply_param(
+            &mut config,
+            "system.network_throughput_mbps",
+            &Value::Float(f64::INFINITY),
+        )
+        .unwrap();
+        config.validate().unwrap();
     }
 
     #[test]

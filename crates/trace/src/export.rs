@@ -18,11 +18,12 @@
 //!
 //! Both formats carry [`SCHEMA_VERSION`] since v2: `summary.json` as a
 //! leading `"schema_version"` member, span JSONL as a header record
-//! (`{"schema_version":2,"spans_offered":…,"spans_recorded":…,
-//! "shards":…}` — the header also reports the sampling loss). Readers
-//! accept v1 documents (no version marker) and v2, and error cleanly on
-//! anything newer, so old traces stay comparable and unknown futures
-//! fail loudly instead of misparsing.
+//! (`{"schema_version":2,"spans_offered":…,"spans_recorded":…}` — the
+//! header also reports the sampling loss; older v2 headers may carry a
+//! `"shards"` member too, which readers ignore). Readers accept v1
+//! documents (no version marker) and v2, and error cleanly on anything
+//! newer, so old traces stay comparable and unknown futures fail loudly
+//! instead of misparsing.
 
 use crate::json::{parse, write_json_string, Json};
 use crate::recorder::{SpanRecord, TraceRecorder};
@@ -122,11 +123,10 @@ pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {
 /// reported reservoir loss; zero without sampling).
 pub fn trace_header_jsonl(recorder: &TraceRecorder) -> String {
     format!(
-        "{{\"schema_version\":{},\"spans_offered\":{},\"spans_recorded\":{},\"shards\":{}}}\n",
+        "{{\"schema_version\":{},\"spans_offered\":{},\"spans_recorded\":{}}}\n",
         SCHEMA_VERSION,
         recorder.spans_offered(),
-        recorder.spans_recorded(),
-        recorder.shard_count()
+        recorder.spans_recorded()
     )
 }
 
@@ -475,8 +475,18 @@ mod tests {
         let recorder = demo_recorder();
         assert_eq!(
             trace_header_jsonl(&recorder),
-            "{\"schema_version\":2,\"spans_offered\":3,\"spans_recorded\":3,\"shards\":1}\n"
+            "{\"schema_version\":2,\"spans_offered\":3,\"spans_recorded\":3}\n"
         );
+    }
+
+    #[test]
+    fn v2_header_with_shards_member_still_parses() {
+        // Pinned v2 header as written while the recorder had shards.
+        let text = "{\"schema_version\":2,\"spans_offered\":1,\"spans_recorded\":1,\"shards\":1}\n\
+                    {\"tid\":4,\"response_ms\":2.5}\n";
+        let spans = spans_from_jsonl(text).unwrap();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].tid, 4);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! is the recording side of the `desp` kernel's [`Probe`](desp::Probe)
 //! seam:
 //!
-//! * [`TraceRecorder`] — a sharded probe assembling per-transaction
+//! * [`TraceRecorder`] — a probe assembling per-transaction
 //!   lifecycle [`SpanRecord`]s (arrive → admission → lock → CPU → disk
 //!   → network → done) plus per-stage latency [`Histogram`]s,
 //!   resource-wait histograms and bounded [`TimeSeries`], built via the
-//!   [`RecorderConfig`] builder (shards, bounded-loss sampling,
-//!   decimation, live [`watch`] sinks);
+//!   [`RecorderConfig`] builder (bounded-loss sampling and live
+//!   [`watch`] sinks);
 //! * [`hist::Histogram`] — log-bucketed (≤ 9% relative error)
 //!   p50/p90/p99/max estimation with exact count/mean/min/max;
 //! * [`series::TimeSeries`] — deterministic decimating samplers for
@@ -39,7 +39,7 @@ pub use analyze::{
     compare, direction_of, CompareReport, CompareRow, Direction, DirectionRule, MetricPattern,
     TraceAnalysis, DIRECTION_RULES,
 };
-pub use config::{RecorderConfig, DEFAULT_SAMPLE_SEED};
+pub use config::RecorderConfig;
 pub use export::{
     job_stem, series_to_csv, spans_from_jsonl, spans_to_jsonl, trace_header_jsonl, write_job_trace,
     RunMetrics, RunSummary, SCHEMA_VERSION, SUMMARY_FILE,

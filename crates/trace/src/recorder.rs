@@ -16,8 +16,7 @@
 //!   path never touches a string key;
 //! * dispatch/schedule counts measure raw engine activity, with the
 //!   pending-event count sampled once every
-//!   [`TraceRecorder::DISPATCH_SAMPLE_EVERY`] dispatches (configurable
-//!   via [`RecorderConfig::dispatch_sample_every`]).
+//!   [`TraceRecorder::DISPATCH_SAMPLE_EVERY`] dispatches.
 //!
 //! # v2 architecture
 //!
@@ -39,15 +38,11 @@
 //! hands us the slab slot), tagged with the transaction serial so a
 //! recycled slot can never corrupt a stale span.
 //!
-//! Spans route to shards by `serial & (shards − 1)`. Committed records
-//! land in one *global* list in commit order, so shard count never
-//! perturbs span export order, and per-shard stage histograms merge
-//! (order-invariantly — bucket counts are integers) at
-//! [`TraceRecorder::flush`]. With the default single shard the recorder
-//! is byte-compatible with v1 output; above one shard only the
-//! floating-point `sum`/mean of a stage histogram may differ in the
-//! last ulp (the merge adds partial sums in shard order), never the
-//! percentiles.
+//! Committed records land in one list in commit order, and each commit
+//! feeds the per-stage histograms; [`TraceRecorder::flush`] publishes
+//! them under their [`STAGE_METRICS`] names. A recorder belongs to one
+//! single-threaded engine run, so one open-span table serves every
+//! transaction.
 //!
 //! Optional [reservoir sampling](RecorderConfig::sample) bounds the
 //! retained raw records with *reported* loss: histograms still see
@@ -56,13 +51,11 @@
 //!
 //! Recording never perturbs the simulation: the recorder only observes,
 //! so a traced replication produces bit-identical results to an
-//! untraced one (asserted by the scenario-runner tests at 1, 2 and 8
-//! shards).
+//! untraced one (asserted by the scenario-runner tests).
 //!
 //! [`Probe::intern_series`]: desp::Probe::intern_series
 //! [`Probe::intern_resource`]: desp::Probe::intern_resource
 //! [`Probe::on_span`]: desp::Probe::on_span
-//! [`RecorderConfig::dispatch_sample_every`]: crate::RecorderConfig::dispatch_sample_every
 //! [`RecorderConfig::sample`]: crate::RecorderConfig::sample
 
 use crate::config::RecorderConfig;
@@ -116,34 +109,14 @@ struct OpenSpan {
     net_start: Option<f64>,
 }
 
-/// One slot of a shard's open-span table. The table is indexed by slab
-/// slot; `serial` tags the occupant so a stale point for a previous
-/// occupant of the same slot is dropped, not misfolded.
+/// One slot of the open-span table. The table is indexed by slab slot;
+/// `serial` tags the occupant so a stale point for a previous occupant
+/// of the same slot is dropped, not misfolded.
 #[derive(Clone, Debug, Default)]
 struct OpenSlot {
     occupied: bool,
     serial: u64,
     span: OpenSpan,
-}
-
-/// One span shard: the open-span table plus the stage histograms its
-/// commits feed.
-#[derive(Clone, Debug)]
-struct Shard {
-    open: Vec<OpenSlot>,
-    open_count: usize,
-    /// Indexed in [`STAGE_METRICS`] order.
-    stage_hists: [Histogram; STAGE_METRICS.len()],
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            open: Vec::new(),
-            open_count: 0,
-            stage_hists: std::array::from_fn(|_| Histogram::new()),
-        }
-    }
 }
 
 /// Reservoir-sampling state (Algorithm R over commit order).
@@ -231,19 +204,19 @@ fn stage_values(record: &SpanRecord) -> [f64; STAGE_METRICS.len()] {
 
 /// A recording [`Probe`]: spans, histograms, series and counters.
 /// Built by [`RecorderConfig`]; call [`TraceRecorder::flush`] after the
-/// run (the scenario runner does) before reading merged histograms.
+/// run (the scenario runner does) before reading the stage histograms.
 #[derive(Clone, Debug)]
 pub struct TraceRecorder {
-    shards: Vec<Shard>,
-    /// `shards.len() - 1`; shard routing is `serial & shard_mask`.
-    shard_mask: u64,
-    /// Committed spans in commit order — global across shards (every
-    /// point folds eagerly), so shard count never affects export order.
+    /// Open spans, indexed by slab slot.
+    open: Vec<OpenSlot>,
+    open_count: usize,
+    /// Stage histograms of committed spans, in [`STAGE_METRICS`] order.
+    stage_hists: [Histogram; STAGE_METRICS.len()],
+    /// Committed spans in commit order.
     finished: Vec<SpanRecord>,
     /// Handle-indexed series storage; `series_index` maps names.
     series: Vec<TimeSeries>,
     series_index: BTreeMap<String, u32>,
-    series_capacity: usize,
     /// Handle-indexed resource wait histograms + queue series.
     resources: Vec<ResourceEntry>,
     resource_index: BTreeMap<String, u32>,
@@ -251,9 +224,6 @@ pub struct TraceRecorder {
     pending_events_series: u32,
     events_dispatched: u64,
     events_scheduled: u64,
-    dispatch_sample_every: u64,
-    /// Countdown to the next `pending_events` sample — a decrement
-    /// per dispatch instead of a runtime modulo on the hot path.
     sample: Option<Reservoir>,
     /// Spans finalized (committed), whether or not retained.
     spans_offered: u64,
@@ -261,8 +231,8 @@ pub struct TraceRecorder {
     /// Exact response-time histogram feeding the watch p99 (recorded
     /// only while a watch sink is attached).
     watch_response: Histogram,
-    /// Stage histograms merged across shards by [`TraceRecorder::flush`].
-    merged_stage_hists: BTreeMap<String, Histogram>,
+    /// `stage_hists` keyed by name, published by [`TraceRecorder::flush`].
+    named_stage_hists: BTreeMap<String, Histogram>,
     flushed: bool,
 }
 
@@ -273,39 +243,27 @@ impl Default for TraceRecorder {
 }
 
 impl TraceRecorder {
-    /// `pending_events` is sampled once per this many dispatches (the
-    /// default; see [`RecorderConfig::dispatch_sample_every`]).
+    /// `pending_events` is sampled once per this many dispatches.
     pub const DISPATCH_SAMPLE_EVERY: u64 = 64;
 
-    /// A fresh recorder with the default configuration.
-    #[deprecated(since = "0.2.0", note = "use RecorderConfig::new().build()")]
-    pub fn new() -> Self {
-        RecorderConfig::new().build()
-    }
-
     pub(crate) fn from_config(
-        shards: usize,
         sample: Option<usize>,
         sample_seed: u64,
-        series_capacity: usize,
-        dispatch_sample_every: u64,
         watch: Option<WatchSink>,
         job: usize,
     ) -> Self {
-        debug_assert!(shards.is_power_of_two());
         let mut recorder = TraceRecorder {
-            shards: (0..shards).map(|_| Shard::new()).collect(),
-            shard_mask: shards as u64 - 1,
+            open: Vec::new(),
+            open_count: 0,
+            stage_hists: std::array::from_fn(|_| Histogram::new()),
             finished: Vec::new(),
             series: Vec::new(),
             series_index: BTreeMap::new(),
-            series_capacity,
             resources: Vec::new(),
             resource_index: BTreeMap::new(),
             pending_events_series: 0,
             events_dispatched: 0,
             events_scheduled: 0,
-            dispatch_sample_every,
             sample: sample.map(|cap| Reservoir {
                 cap,
                 rng: sample_seed,
@@ -320,7 +278,7 @@ impl TraceRecorder {
                 last_t_ms: 0.0,
             }),
             watch_response: Histogram::new(),
-            merged_stage_hists: BTreeMap::new(),
+            named_stage_hists: BTreeMap::new(),
             flushed: false,
         };
         recorder.pending_events_series = recorder.intern_series_id("pending_events");
@@ -337,7 +295,7 @@ impl TraceRecorder {
     /// Transactions submitted but not yet committed (non-empty only when
     /// a run was cut short).
     pub fn open_spans(&self) -> usize {
-        self.shards.iter().map(|s| s.open_count).sum()
+        self.open_count
     }
 
     /// Spans finalized during the run, retained or not. Equal to
@@ -353,11 +311,10 @@ impl TraceRecorder {
     }
 
     /// The per-stage histograms ([`STAGE_METRICS`] keys; a stage no span
-    /// exercised has count 0), merged across shards. Requires a prior
-    /// [`TraceRecorder::flush`].
+    /// exercised has count 0). Requires a prior [`TraceRecorder::flush`].
     pub fn stage_histograms(&self) -> &BTreeMap<String, Histogram> {
         debug_assert!(self.flushed, "flush() before reading stage histograms");
-        &self.merged_stage_hists
+        &self.named_stage_hists
     }
 
     /// Queueing-delay histogram for one resource name.
@@ -390,11 +347,6 @@ impl TraceRecorder {
             .collect()
     }
 
-    /// Number of span shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Events dispatched while recording.
     pub fn events_dispatched(&self) -> u64 {
         self.events_dispatched
@@ -405,23 +357,18 @@ impl TraceRecorder {
         self.events_scheduled
     }
 
-    /// Merges the per-shard stage histograms (shard index order) and
-    /// closes the watch stream. Idempotent; called by the scenario
-    /// runner after each job. New span activity after a flush re-arms
-    /// it.
+    /// Publishes the stage histograms under their names and closes the
+    /// watch stream. Idempotent; called by the scenario runner after
+    /// each job. New span activity after a flush re-arms it.
     pub fn flush(&mut self) {
         if self.flushed {
             return;
         }
-        let mut merged = BTreeMap::new();
-        for (i, &metric) in STAGE_METRICS.iter().enumerate() {
-            let mut hist = Histogram::new();
-            for shard in &self.shards {
-                hist.merge(&shard.stage_hists[i]);
-            }
-            merged.insert(metric.to_owned(), hist);
-        }
-        self.merged_stage_hists = merged;
+        self.named_stage_hists = STAGE_METRICS
+            .iter()
+            .zip(&self.stage_hists)
+            .map(|(&metric, hist)| (metric.to_owned(), hist.clone()))
+            .collect();
         // Dropping the sender ends the watcher's drain loop.
         self.watch = None;
         self.flushed = true;
@@ -433,8 +380,7 @@ impl TraceRecorder {
             return i;
         }
         let i = self.series.len() as u32;
-        self.series
-            .push(TimeSeries::with_capacity(name, self.series_capacity));
+        self.series.push(TimeSeries::new(name));
         self.series_index.insert(name.to_owned(), i);
         i
     }
@@ -444,18 +390,17 @@ impl TraceRecorder {
         self.series_named(name).map_or(0.0, TimeSeries::current)
     }
 
-    /// Folds one span point into its shard's open-span table; the fold
-    /// semantics match the v1 recorder exactly (only `Submit` opens a
-    /// span; points for an absent or mismatched occupant are dropped).
-    fn apply(&mut self, s: usize, slot: usize, serial: u64, point: SpanPoint, now: f64) {
+    /// Folds one span point into the open-span table; the fold semantics
+    /// match the v1 recorder exactly (only `Submit` opens a span; points
+    /// for an absent or mismatched occupant are dropped).
+    fn apply(&mut self, slot: usize, serial: u64, point: SpanPoint, now: f64) {
         if point == SpanPoint::Submit {
-            let shard = &mut self.shards[s];
-            if shard.open.len() <= slot {
-                shard.open.resize_with(slot + 1, OpenSlot::default);
+            if self.open.len() <= slot {
+                self.open.resize_with(slot + 1, OpenSlot::default);
             }
-            let entry = &mut shard.open[slot];
+            let entry = &mut self.open[slot];
             if !entry.occupied {
-                shard.open_count += 1;
+                self.open_count += 1;
             }
             entry.occupied = true;
             entry.serial = serial;
@@ -464,36 +409,31 @@ impl TraceRecorder {
             return;
         }
         if point == SpanPoint::Committed {
-            let record = {
-                let shard = &mut self.shards[s];
-                let Some(entry) = shard.open.get_mut(slot) else {
-                    return; // Committed without Submit: nothing recorded.
-                };
-                if !entry.occupied || entry.serial != serial {
-                    return;
-                }
-                entry.occupied = false;
-                shard.open_count -= 1;
-                let mut open = std::mem::take(&mut entry.span);
-                // Close a CPU hold the model did not bracket
-                // (commit-time releases schedule Committed directly).
-                if let Some(start) = open.cpu_start.take() {
-                    open.record.cpu_ms += now - start;
-                }
-                let mut record = open.record;
-                record.tid = serial;
-                record.end_ms = now;
-                record.response_ms = now - record.submit_ms;
-                for (hist, value) in shard.stage_hists.iter_mut().zip(stage_values(&record)) {
-                    hist.record(value);
-                }
-                record
+            let Some(entry) = self.open.get_mut(slot) else {
+                return; // Committed without Submit: nothing recorded.
             };
+            if !entry.occupied || entry.serial != serial {
+                return;
+            }
+            entry.occupied = false;
+            self.open_count -= 1;
+            let mut open = std::mem::take(&mut entry.span);
+            // Close a CPU hold the model did not bracket
+            // (commit-time releases schedule Committed directly).
+            if let Some(start) = open.cpu_start.take() {
+                open.record.cpu_ms += now - start;
+            }
+            let mut record = open.record;
+            record.tid = serial;
+            record.end_ms = now;
+            record.response_ms = now - record.submit_ms;
+            for (hist, value) in self.stage_hists.iter_mut().zip(stage_values(&record)) {
+                hist.record(value);
+            }
             self.offer(record, now);
             return;
         }
-        let shard = &mut self.shards[s];
-        let Some(entry) = shard.open.get_mut(slot) else {
+        let Some(entry) = self.open.get_mut(slot) else {
             return;
         };
         if !entry.occupied || entry.serial != serial {
@@ -663,13 +603,13 @@ impl Probe for TraceRecorder {
 
     #[inline]
     fn dispatch_interval(&self) -> u64 {
-        self.dispatch_sample_every
+        Self::DISPATCH_SAMPLE_EVERY
     }
 
     #[inline]
     fn on_dispatch(&mut self, now: f64, pending: usize) {
         // The engine already decimates to every
-        // `dispatch_sample_every`-th dispatch (see
+        // `DISPATCH_SAMPLE_EVERY`-th dispatch (see
         // [`desp::Probe::dispatch_interval`]); every call is a sample.
         let i = self.pending_events_series as usize;
         self.series[i].record(now, pending as f64);
@@ -698,15 +638,13 @@ impl Probe for TraceRecorder {
     #[inline]
     fn on_span(&mut self, slot: u32, serial: u64, point: SpanPoint, now: f64) {
         self.flushed = false;
-        let s = (serial & self.shard_mask) as usize;
-        self.apply(s, slot as usize, serial, point, now);
+        self.apply(slot as usize, serial, point, now);
     }
 
     #[inline]
     fn on_span_stage(&mut self, slot: u32, serial: u64, stage: SpanStage, delta: f64) {
         self.flushed = false;
-        let s = (serial & self.shard_mask) as usize;
-        let Some(entry) = self.shards[s].open.get_mut(slot as usize) else {
+        let Some(entry) = self.open.get_mut(slot as usize) else {
             return;
         };
         if !entry.occupied || entry.serial != serial {
@@ -929,39 +867,6 @@ mod tests {
         assert_eq!(r.events_scheduled(), 300);
         let pending = r.series_named("pending_events").unwrap();
         assert_eq!(pending.offered(), sampled);
-    }
-
-    #[test]
-    fn deprecated_constructor_matches_default_config() {
-        // The shim stays one release for external callers.
-        #[allow(deprecated)] // exercising the compatibility shim itself
-        let mut r = TraceRecorder::new();
-        emit(&mut r, 1, SpanPoint::Submit, 0.0);
-        emit(&mut r, 1, SpanPoint::Committed, 2.0);
-        assert_eq!(r.spans().len(), 1);
-        assert_eq!(r.spans_offered(), 1);
-    }
-
-    #[test]
-    fn sharded_spans_keep_commit_order() {
-        let mut one = RecorderConfig::new().build();
-        let mut eight = RecorderConfig::new().shards(8).build();
-        for r in [&mut one, &mut eight] {
-            for serial in 0..32u64 {
-                let slot = (serial % 4) as u32;
-                r.on_span(slot, serial, SpanPoint::Submit, serial as f64);
-                r.on_span(slot, serial, SpanPoint::AccessDone, serial as f64 + 0.25);
-                r.on_span(slot, serial, SpanPoint::Committed, serial as f64 + 0.5);
-            }
-            r.flush();
-        }
-        assert_eq!(one.spans(), eight.spans());
-        for metric in STAGE_METRICS {
-            let a = &one.stage_histograms()[*metric];
-            let b = &eight.stage_histograms()[*metric];
-            assert_eq!(a.count(), b.count(), "{metric}");
-            assert_eq!(a.p99().to_bits(), b.p99().to_bits(), "{metric}");
-        }
     }
 
     #[test]
